@@ -38,10 +38,6 @@ def check_diagram(d: Iterable[int]) -> Diagram:
     return rows
 
 
-def size(d: Diagram) -> int:
-    return sum(d)
-
-
 def transpose(d: Diagram) -> Diagram:
     """Column lengths of d, i.e. the reflected diagram."""
     if not d:

@@ -11,6 +11,7 @@ the sign representation.
 """
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,17 +234,24 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
     With cache_dir set, rows are loaded from and stored to one JSON file per
     degree (chartable_<n>.json): a map from the label's comma-separated form
     to its row of class values, labels and classes both in decreasing
-    lexicographic order.
+    lexicographic order. A table not yet memoized is loaded from its file,
+    or computed and written when the file is missing or fails to load; a
+    memoized table is written when its file is missing.
     """
-    if n in _TABLES:
-        return _TABLES[n]
-    table = _load_table(n, cache_dir) if cache_dir is not None else None
+    table = _TABLES.get(n)
+    on_disk = False
+    if cache_dir is not None:
+        if table is None:
+            table = _load_table(n, cache_dir)
+            on_disk = table is not None
+        else:
+            on_disk = _table_path(n, cache_dir).is_file()
     if table is None:
         labels = all_diagrams(n)
         table = {lam: {mu: _mn(lam, mu) for mu in labels} for lam in labels}
-        if cache_dir is not None and n > 0:
-            _store_table(n, table, cache_dir)
     _TABLES[n] = table
+    if cache_dir is not None and n > 0 and not on_disk:
+        _store_table(n, table, cache_dir)
     return table
 
 
@@ -281,4 +289,16 @@ def _store_table(n: int, table: dict[IrrepLabel, dict[Diagram, int]], cache_dir:
     path.parent.mkdir(parents=True, exist_ok=True)
     classes = all_diagrams(n)
     payload = {diagram_text(lam): [table[lam][mu] for mu in classes] for lam in classes}
-    path.write_text(json.dumps(payload))
+    # Write a temp file beside the target and rename it into place, so a
+    # reader never sees a partial table. tempfile is imported here because
+    # only a store needs it and it costs several ms of import.
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -5,6 +5,7 @@ based counts of special unipotent representations for all supported kinds.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from .diagrams import (
     transpose,
 )
 from .errors import DegreeMismatchError, ParameterRangeError, UnsupportedGroupError
-from .weylmodules import coh_gl_complex, coh_sl_complex, coh_su, coh_u_cover
+from .weylmodules import coh_su, coh_u_cover, sign_induction_multiplicity
 
 
 class GroupKind(str, Enum):
@@ -242,14 +243,46 @@ def sl_r_enumerate(orbit: Diagram) -> tuple[SLRParam, ...]:
     return tuple(params)
 
 
+@cache
+def _block(p: int, q: int, r: int, matched: Diagram, other: Diagram) -> int:
+    """Multiplicity of (matched, other) in a block summand of the unitary
+    modules (block_matchings_first(p, q, r) read in that factor order):
+    the matchings module on the degree-r factor, whose constituents are the
+    diagrams with all rows even, times the sign inductions on the rest."""
+    if r % 2 or min(p, q) < r // 2 or any(row % 2 for row in matched):
+        return 0
+    return sign_induction_multiplicity(other, p - r // 2, q - r // 2)
+
+
 def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     """Number of special unipotent representations of the group attached to
     the orbit.
 
-    Real general/special linear kinds are counted by explicit enumeration;
-    the unitary and complex kinds by the multiplicity of the cell label in
-    the coherent continuation module. An unequal complex orbit pair has no
-    attached representations at all, so it counts 0 outright.
+    Real general/special linear kinds are counted by explicit enumeration.
+    The unitary and complex kinds count the multiplicity of the cell label
+    in the coherent continuation module, computed directly, without
+    building the module.
+
+    Unitary kinds: the cell is (a, b) = (transpose of the even rows,
+    transpose of the odd rows), with |a| = n_h and |b| = n_0. The two block
+    summands contribute _block(p, q, n_h, a, b) + _block(p, q, n_0, b, a),
+    where the sign-induction factor is read off by the Pieri rule for
+    vertical strips (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.(5.16)-(5.17); see sign_induction_multiplicity). The diagonal
+    summands of SU never contain the cell, so SU and the double cover share
+    this formula. Proof: the largest part of transpose(d) is the number of
+    rows of d, and it occurs as many times as the smallest row of d is
+    long. That is even for a (built from even rows) and odd for b (built
+    from odd rows), so a != b unless both are empty, i.e. n = 0, which no
+    group allows. A diagonal key (x, x) therefore never equals (a, b).
+
+    Complex kinds: an unequal orbit pair has no attached representations at
+    all, so it counts 0. For an equal pair the cell is (a, b, a, b), and the
+    general linear module holds it exactly once, being one copy of
+    (x, y, x, y) per label pair. The special linear module adds copies
+    (x, y, y, x); such a copy equals the cell only if x = a, y = b, y = a
+    and x = b, hence a = b, which the argument above rules out. So the
+    count is 1.
     """
     kind = group.kind
     if kind in QUATERNIONIC_KINDS:
@@ -264,30 +297,31 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
         return prod(m + 1 for m in row_profile(orbit.first).mults)
     if kind is GroupKind.SL_R:
         return len(sl_r_enumerate(orbit.first))
-    sig = coset_signature(orbit.first)
-    cell = cell_rep(kind, orbit)
     if kind in COMPLEX_KINDS:
-        if orbit.first != orbit.second:
-            return 0
-        module = coh_gl_complex(sig) if kind is GroupKind.GL_C else coh_sl_complex(sig)
-        return module.multiplicity(cell)
-    if kind is GroupKind.SU:
-        return coh_su(group.p, group.q, sig).multiplicity(cell)
-    return coh_u_cover(group.p, group.q, sig).multiplicity(cell)
+        return int(orbit.first == orbit.second)
+    n_h, n_0 = coset_signature(orbit.first)
+    a, b = cell_rep(kind, orbit)
+    p, q = group.p, group.q
+    return _block(p, q, n_h, a, b) + _block(p, q, n_0, b, a)
 
 
 def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
     """Whether the SU(p, q) count and the double-cover count agree at the
-    orbit."""
+    orbit: the cell multiplicities in the two built modules, and the direct
+    counts of both groups."""
     orbit = check_diagram(orbit)
     if sum(orbit) != p + q:
         raise DegreeMismatchError(
             f"orbit size {sum(orbit)} does not match p + q = {p + q}"
         )
     spec = OrbitSpec(orbit)
-    su = count_unipotent(make_group(GroupKind.SU, p=p, q=q), spec)
-    cover = count_unipotent(make_group(GroupKind.U_COVER, p=p, q=q), spec)
-    return su == cover
+    sig = coset_signature(orbit)
+    cell = cell_rep(GroupKind.SU, spec)
+    su = coh_su(p, q, sig).multiplicity(cell)
+    cover = coh_u_cover(p, q, sig).multiplicity(cell)
+    direct_su = count_unipotent(make_group(GroupKind.SU, p=p, q=q), spec)
+    direct_cover = count_unipotent(make_group(GroupKind.U_COVER, p=p, q=q), spec)
+    return su == cover == direct_su == direct_cover
 
 
 def group_record(group: GroupSpec) -> dict:

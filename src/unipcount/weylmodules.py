@@ -8,10 +8,18 @@ keeps its shape, so sums stay total on matching shapes.
 
 from collections import Counter
 from functools import cache
+from itertools import product
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .diagrams import CosetSignature, Diagram, all_diagrams, check_diagram, format_diagram
+from .diagrams import (
+    CosetSignature,
+    Diagram,
+    all_diagrams,
+    check_diagram,
+    format_diagram,
+    row_profile,
+)
 from .errors import DegreeMismatchError, ShapeMismatchError
 from .symreps import induce_outer, irrep_dimension
 
@@ -165,6 +173,43 @@ def sign_induction_module(p: int, q: int) -> ModuleDecomp:
             for nu, c in induce_outer((tau, *columns)).items():
                 total[(nu,)] += c
     return ModuleDecomp((p + q,), total)
+
+
+def _remove_vertical_strips(nu: Diagram, size: int) -> Iterator[Diagram]:
+    """Every diagram left by removing a vertical strip of the given size
+    from nu: at most one box per row, so within each block of equal rows
+    only the bottom j rows can lose their last box."""
+    profile = row_profile(nu)
+    for cut in product(*(range(m + 1) for m in profile.mults)):
+        if sum(cut) != size:
+            continue
+        rows: list[int] = []
+        for length, m, j in zip(profile.lengths, profile.mults, cut):
+            rows.extend([length] * (m - j))
+            if length > 1:
+                rows.extend([length - 1] * j)
+        yield tuple(rows)
+
+
+@cache
+def sign_induction_multiplicity(nu: Diagram, p: int, q: int) -> int:
+    """Multiplicity of (nu,) in sign_induction_module(p, q), without
+    building the module.
+
+    By the Pieri rule for vertical strips (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.(5.16)-(5.17)), inducing tau times sign on
+    S_{p-k} times sign on S_{q-k} adds a vertical strip of size p-k and then
+    one of size q-k to tau. So the multiplicity is the number of chains
+    that take nu, remove a vertical strip of size q-k, then one of size p-k,
+    and end on a diagram with all rows even (a constituent of the matchings
+    module of rank k), summed over 0 <= k <= min(p, q).
+    """
+    return sum(
+        all(row % 2 == 0 for row in tau)
+        for k in range(min(p, q) + 1)
+        for mu in _remove_vertical_strips(nu, q - k)
+        for tau in _remove_vertical_strips(mu, p - k)
+    )
 
 
 @cache

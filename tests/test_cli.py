@@ -194,9 +194,17 @@ def test_verify_passes(cli_runner):
 
 
 def test_console_script_end_to_end():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import unipcount
+
+    # The child imports the same unipcount as this process, installed or not.
+    src = str(Path(unipcount.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -207,6 +215,7 @@ def test_console_script_end_to_end():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"

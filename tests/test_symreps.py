@@ -174,3 +174,36 @@ def test_character_table_ignores_corrupt_cache(tmp_path):
     table = character_table(5, cache_dir=tmp_path)
     symreps._TABLES.pop(5, None)
     assert table == character_table(5)
+
+
+def test_character_table_stores_a_memoized_table(tmp_path):
+    import unipcount.symreps as symreps
+
+    memo = character_table(5)
+    assert character_table(5, cache_dir=tmp_path) is memo
+    assert (tmp_path / "chartable_5.json").is_file()
+    symreps._TABLES.pop(5, None)
+    assert character_table(5, cache_dir=tmp_path) == memo
+
+
+def test_character_table_store_is_atomic(tmp_path, monkeypatch):
+    import os
+
+    import unipcount.symreps as symreps
+
+    character_table(4, cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["chartable_4.json"]
+    before = (tmp_path / "chartable_4.json").read_bytes()
+
+    # A store that fails before its rename leaves the old file as it was and
+    # no temp file behind.
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    table = {lam: dict(row) for lam, row in character_table(4).items()}
+    table[(4,)][(4,)] = 99
+    with pytest.raises(OSError, match="rename refused"):
+        symreps._store_table(4, table, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["chartable_4.json"]
+    assert (tmp_path / "chartable_4.json").read_bytes() == before
