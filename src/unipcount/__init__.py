@@ -39,7 +39,6 @@ from .symreps import (
     inner_product,
     irrep_dimension,
     lr_coefficient,
-    lr_expand,
 )
 from .unipotent import (
     GroupKind,
@@ -49,12 +48,12 @@ from .unipotent import (
     SLRParam,
     TwistSplit,
     cell_rep,
+    coherent_module,
     count_record,
     count_unipotent,
     enumeration_record,
     gl_r_params,
     make_group,
-    make_orbit,
     sign_twist,
     sl_r_enumerate,
     split_by_twist,
@@ -71,6 +70,5 @@ from .weylmodules import (
     diagonal_module,
     matchings_module,
     sign_induction_module,
-    unit_module,
     zero_module,
 )

@@ -10,8 +10,8 @@ import json
 import os
 import sys
 
-from .diagrams import all_diagrams, coset_signature, diagram_text, format_diagram, parse_orbit
-from .errors import EngineError, UnsupportedGroupError
+from .diagrams import all_diagrams, diagram_text, format_diagram, parse_orbit
+from .errors import EngineError
 from .oracle import run_checks
 from .symreps import character_table
 from .unipotent import (
@@ -21,13 +21,13 @@ from .unipotent import (
     GroupSpec,
     OrbitSpec,
     cell_rep,
+    coherent_module,
     count_record,
     enumeration_record,
     group_record,
     make_group,
     orbit_record,
 )
-from .weylmodules import coh_gl_complex, coh_sl_complex, coh_su, coh_u_cover
 
 CACHE_ENV = "UNIPCOUNT_CACHE_DIR"
 
@@ -123,25 +123,10 @@ def _cmd_enumerate(parser, args) -> int:
     return 0
 
 
-def _coherent_module(group: GroupSpec, orbit: OrbitSpec):
-    sig = coset_signature(orbit.first)
-    if group.kind is GroupKind.SU:
-        return coh_su(group.p, group.q, sig)
-    if group.kind is GroupKind.U_COVER:
-        return coh_u_cover(group.p, group.q, sig)
-    if group.kind is GroupKind.GL_C:
-        return coh_gl_complex(sig)
-    if group.kind is GroupKind.SL_C:
-        return coh_sl_complex(sig)
-    raise UnsupportedGroupError(
-        f"no coherent continuation decomposition for kind {group.kind.value}"
-    )
-
-
 def _cmd_coh(parser, args) -> int:
     group = _resolve_group(parser, args)
     orbit = _resolve_orbit(parser, args, group.kind)
-    module = _coherent_module(group, orbit)
+    module = coherent_module(group, orbit)
     if args.format == "json":
         record = {
             "group": group_record(group),
@@ -164,7 +149,7 @@ def _cmd_coh(parser, args) -> int:
 def _cmd_cell(parser, args) -> int:
     group = _resolve_group(parser, args)
     orbit = _resolve_orbit(parser, args, group.kind)
-    cell = cell_rep(group.kind, orbit)
+    cell = cell_rep(group, orbit)
     if args.format == "json":
         _emit(
             {
@@ -207,6 +192,8 @@ def _cmd_chartable(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    if args.max_size < 1:
+        parser.error(f"--max-size must be at least 1, got {args.max_size}")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:
         for n in range(1, min(args.max_size, 8) + 1):

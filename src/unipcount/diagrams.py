@@ -8,6 +8,7 @@ row lengths, with () the empty diagram.
 
 from fractions import Fraction
 from functools import cache
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidPartitionError
@@ -30,10 +31,10 @@ def make_diagram(parts: Iterable[int]) -> Diagram:
 
 def check_diagram(d: Iterable[int]) -> Diagram:
     """Validate an already-canonical diagram (weakly decreasing, positive)."""
-    rows = tuple(int(p) for p in d)
-    if any(p < 1 for p in rows):
+    rows = tuple(map(int, d))
+    if rows and min(rows) < 1:
         raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+    if any(map(lt, rows, rows[1:])):
         raise InvalidPartitionError(f"row lengths must be weakly decreasing: {rows}")
     return rows
 

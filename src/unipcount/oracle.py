@@ -343,7 +343,8 @@ def run_checks(max_size: int = 8) -> list[dict]:
             n_h, n_0 = coset_signature(orbit)
             if n_h != n_0 or n_h == 0:
                 continue
-            cell = unipotent.cell_rep(unipotent.GroupKind.SU, unipotent.OrbitSpec(orbit))
+            su = unipotent.make_group(unipotent.GroupKind.SU, p=n, q=0)
+            cell = unipotent.cell_rep(su, unipotent.OrbitSpec(orbit))
             if weylmodules.diagonal_module(n_h).multiplicity(cell) != 0:
                 bad.append(diagram_text(orbit))
         entry("diagonal-zero", f"n={n}", "0 mismatches", mismatch_summary(bad))

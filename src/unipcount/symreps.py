@@ -107,23 +107,12 @@ class ClassFunction:
         return self.values[cls]
 
 
+@cache
 def irreducible_character(label: IrrepLabel) -> ClassFunction:
+    """The irreducible character as a class function, built once per label.
+    Callers share the result and must not mutate its values."""
     label = check_diagram(label)
     return ClassFunction(sum(label), dict(character_table(sum(label))[label]))
-
-
-def trivial_character(n: int) -> ClassFunction:
-    return ClassFunction(n, {mu: 1 for mu in all_diagrams(n)})
-
-
-def sign_character(n: int) -> ClassFunction:
-    return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in all_diagrams(n)})
-
-
-def regular_character(n: int) -> ClassFunction:
-    values = {mu: 0 for mu in all_diagrams(n)}
-    values[(1,) * n] = factorial(n)
-    return ClassFunction(n, values)
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
@@ -203,11 +192,6 @@ def _lr_expand(lam: Diagram, mu: Diagram) -> tuple[tuple[Diagram, int], ...]:
     return tuple(out)
 
 
-def lr_expand(lam: IrrepLabel, mu: IrrepLabel) -> dict[Diagram, int]:
-    """Decomposition of the outer product of two irreducibles."""
-    return dict(_lr_expand(check_diagram(lam), check_diagram(mu)))
-
-
 def induce_outer(factors: Iterable[IrrepLabel]) -> dict[Diagram, int]:
     """Decomposition of the outer product of the given irreducibles in the
     symmetric group of the total degree; the empty sequence gives the unit."""
@@ -235,17 +219,16 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
     degree (chartable_<n>.json): a map from the label's comma-separated form
     to its row of class values, labels and classes both in decreasing
     lexicographic order. A table not yet memoized is loaded from its file,
-    or computed and written when the file is missing or fails to load; a
-    memoized table is written when its file is missing.
+    or computed; either way the table is written when its file is missing or
+    fails to load.
     """
     table = _TABLES.get(n)
     on_disk = False
     if cache_dir is not None:
+        loaded = _load_table(n, cache_dir)
+        on_disk = loaded is not None
         if table is None:
-            table = _load_table(n, cache_dir)
-            on_disk = table is not None
-        else:
-            on_disk = _table_path(n, cache_dir).is_file()
+            table = loaded
     if table is None:
         labels = all_diagrams(n)
         table = {lam: {mu: _mn(lam, mu) for mu in labels} for lam in labels}

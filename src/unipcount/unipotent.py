@@ -20,7 +20,14 @@ from .diagrams import (
     transpose,
 )
 from .errors import DegreeMismatchError, ParameterRangeError, UnsupportedGroupError
-from .weylmodules import coh_su, coh_u_cover, sign_induction_multiplicity
+from .weylmodules import (
+    ModuleDecomp,
+    coh_gl_complex,
+    coh_sl_complex,
+    coh_su,
+    coh_u_cover,
+    sign_induction_multiplicity,
+)
 
 
 class GroupKind(str, Enum):
@@ -89,59 +96,76 @@ def make_group(
 @dataclass(frozen=True)
 class OrbitSpec:
     """A nilpotent orbit input: one diagram, or an ordered pair of diagrams
-    of equal size for the complex kinds."""
+    for the complex kinds. Each diagram is checked on construction
+    (weakly decreasing, positive rows)."""
 
     first: Diagram
     second: Diagram | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "first", check_diagram(self.first))
+        if self.second is not None:
+            object.__setattr__(self, "second", check_diagram(self.second))
 
     @property
     def is_pair(self) -> bool:
         return self.second is not None
 
 
-def make_orbit(first, second=None) -> OrbitSpec:
-    first = check_diagram(first)
-    if second is None:
-        return OrbitSpec(first)
-    return OrbitSpec(first, check_diagram(second))
-
-
-def _validate(group: GroupSpec, orbit: OrbitSpec) -> None:
-    if group.kind in COMPLEX_KINDS:
+def _check_orbit(group: GroupSpec, orbit: OrbitSpec) -> None:
+    """The orbit fits the group: an ordered pair of diagrams for the complex
+    kinds and a single diagram otherwise, each diagram of size n."""
+    kind = group.kind
+    if kind in COMPLEX_KINDS:
         if not orbit.is_pair:
-            raise DegreeMismatchError(
-                f"kind {group.kind.value} takes an ordered pair of diagrams"
-            )
-        if sum(orbit.first) != group.n or sum(orbit.second) != group.n:
-            raise DegreeMismatchError(
-                f"orbit pair sizes ({sum(orbit.first)}, {sum(orbit.second)}) "
-                f"do not match n = {group.n}"
-            )
+            raise DegreeMismatchError(f"kind {kind.value} takes an ordered pair of diagrams")
+        sizes = (sum(orbit.first), sum(orbit.second))
+        if sizes != (group.n, group.n):
+            raise DegreeMismatchError(f"orbit pair sizes {sizes} do not match n = {group.n}")
     else:
         if orbit.is_pair:
-            raise DegreeMismatchError(f"kind {group.kind.value} takes a single diagram")
+            raise DegreeMismatchError(f"kind {kind.value} takes a single diagram")
         if sum(orbit.first) != group.n:
             raise DegreeMismatchError(
                 f"orbit size {sum(orbit.first)} does not match n = {group.n}"
             )
 
 
-def cell_rep(kind: GroupKind | str, orbit: OrbitSpec) -> tuple[Diagram, ...]:
+def _cell(orbit: Diagram) -> tuple[Diagram, Diagram]:
+    even, odd = even_odd_split(orbit)
+    return transpose(even), transpose(odd)
+
+
+def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
     """Label tuple of the cell attached to the orbit.
 
     Hermitian kinds give (transpose of even rows, transpose of odd rows);
     the complex kinds double that tuple, built from the first pair component.
     """
-    kind = GroupKind(kind)
+    kind = group.kind
     if kind not in HERMITIAN_KINDS and kind not in COMPLEX_KINDS:
         raise UnsupportedGroupError(f"no cell label for kind {kind.value}")
-    if kind in COMPLEX_KINDS and not orbit.is_pair:
-        raise DegreeMismatchError(f"kind {kind.value} takes an ordered pair of diagrams")
-    if kind in HERMITIAN_KINDS and orbit.is_pair:
-        raise DegreeMismatchError(f"kind {kind.value} takes a single diagram")
-    even, odd = even_odd_split(orbit.first)
-    pair = (transpose(even), transpose(odd))
+    _check_orbit(group, orbit)
+    pair = _cell(orbit.first)
     return pair + pair if kind in COMPLEX_KINDS else pair
+
+
+def coherent_module(group: GroupSpec, orbit: OrbitSpec) -> ModuleDecomp:
+    """Coherent continuation module of the group at the orbit's coset
+    (unitary and complex kinds)."""
+    kind = group.kind
+    if kind not in HERMITIAN_KINDS and kind not in COMPLEX_KINDS:
+        raise UnsupportedGroupError(
+            f"no coherent continuation decomposition for kind {kind.value}"
+        )
+    _check_orbit(group, orbit)
+    sig = coset_signature(orbit.first)
+    if kind is GroupKind.GL_C:
+        return coh_gl_complex(sig)
+    if kind is GroupKind.SL_C:
+        return coh_sl_complex(sig)
+    build = coh_su if kind is GroupKind.SU else coh_u_cover
+    return build(group.p, group.q, sig)
 
 
 CHAR_TRIVIAL = "trivial"
@@ -292,15 +316,16 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
             "group is a bijection on special unipotent representations, and the "
             "general linear side's classification is external to this engine"
         )
-    _validate(group, orbit)
+    _check_orbit(group, orbit)
     if kind is GroupKind.GL_R:
         return prod(m + 1 for m in row_profile(orbit.first).mults)
     if kind is GroupKind.SL_R:
         return len(sl_r_enumerate(orbit.first))
     if kind in COMPLEX_KINDS:
         return int(orbit.first == orbit.second)
-    n_h, n_0 = coset_signature(orbit.first)
-    a, b = cell_rep(kind, orbit)
+    a, b = _cell(orbit.first)
+    # |transpose(d)| = |d|, so a and b have the coset signature's sizes.
+    n_h, n_0 = sum(a), sum(b)
     p, q = group.p, group.q
     return _block(p, q, n_h, a, b) + _block(p, q, n_0, b, a)
 
@@ -309,19 +334,16 @@ def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
     """Whether the SU(p, q) count and the double-cover count agree at the
     orbit: the cell multiplicities in the two built modules, and the direct
     counts of both groups."""
-    orbit = check_diagram(orbit)
-    if sum(orbit) != p + q:
-        raise DegreeMismatchError(
-            f"orbit size {sum(orbit)} does not match p + q = {p + q}"
-        )
+    su = make_group(GroupKind.SU, p=p, q=q)
+    cover = make_group(GroupKind.U_COVER, p=p, q=q)
     spec = OrbitSpec(orbit)
-    sig = coset_signature(orbit)
-    cell = cell_rep(GroupKind.SU, spec)
-    su = coh_su(p, q, sig).multiplicity(cell)
-    cover = coh_u_cover(p, q, sig).multiplicity(cell)
-    direct_su = count_unipotent(make_group(GroupKind.SU, p=p, q=q), spec)
-    direct_cover = count_unipotent(make_group(GroupKind.U_COVER, p=p, q=q), spec)
-    return su == cover == direct_su == direct_cover
+    cell = cell_rep(su, spec)
+    return (
+        coherent_module(su, spec).multiplicity(cell)
+        == coherent_module(cover, spec).multiplicity(cell)
+        == count_unipotent(su, spec)
+        == count_unipotent(cover, spec)
+    )
 
 
 def group_record(group: GroupSpec) -> dict:
@@ -358,27 +380,21 @@ def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
         raise UnsupportedGroupError(
             f"explicit enumeration is only available for gl-r and sl-r, not {group.kind.value}"
         )
-    _validate(group, orbit)
-    rows = []
+    _check_orbit(group, orbit)
     if group.kind is GroupKind.GL_R:
-        for index, desc in enumerate(gl_r_params(orbit.first)):
-            rows.append(
-                {
-                    "index": index,
-                    "blocks": [[size, tag] for size, tag in desc.blocks],
-                    "a": list(desc.a),
-                }
-            )
+        params = [(desc, None) for desc in gl_r_params(orbit.first)]
     else:
-        for index, param in enumerate(sl_r_enumerate(orbit.first)):
-            rows.append(
-                {
-                    "index": index,
-                    "blocks": [[size, tag] for size, tag in param.descriptor.blocks],
-                    "a": list(param.descriptor.a),
-                    "sign": param.sign,
-                }
-            )
+        params = [(param.descriptor, param.sign) for param in sl_r_enumerate(orbit.first)]
+    rows = []
+    for index, (desc, sign) in enumerate(params):
+        row = {
+            "index": index,
+            "blocks": [[size, tag] for size, tag in desc.blocks],
+            "a": list(desc.a),
+        }
+        if group.kind is GroupKind.SL_R:
+            row["sign"] = sign
+        rows.append(row)
     return {
         "group": group_record(group),
         "orbit": orbit_record(orbit),

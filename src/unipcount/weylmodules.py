@@ -6,7 +6,6 @@ first class, carrying the empty diagram as their only label. The zero module
 keeps its shape, so sums stay total on matching shapes.
 """
 
-from collections import Counter
 from functools import cache
 from itertools import product
 from math import prod
@@ -40,7 +39,6 @@ class ModuleDecomp:
         self,
         shape: Iterable[int],
         mults: Mapping[ModuleKey, int] | Iterable[tuple[ModuleKey, int]] = (),
-        parts: Mapping[str, "ModuleDecomp"] | None = None,
     ) -> None:
         self.shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in self.shape):
@@ -55,7 +53,7 @@ class ModuleDecomp:
             if m:
                 clean[key] = clean.get(key, 0) + m
         self.mults = clean
-        self.parts = dict(parts) if parts else {}
+        self.parts = {}
 
     def _check_key(self, key: Iterable[Iterable[int]]) -> ModuleKey:
         key = tuple(check_diagram(d) for d in key)
@@ -90,10 +88,10 @@ class ModuleDecomp:
             raise ShapeMismatchError(
                 f"cannot add modules of shapes {self.shape} and {other.shape}"
             )
-        out = Counter(self.mults)
+        out = dict(self.mults)
         for key, m in other.mults.items():
-            out[key] += m
-        return ModuleDecomp(self.shape, out)
+            out[key] = out.get(key, 0) + m
+        return _built(self.shape, out)
 
     def tensor(self, other: "ModuleDecomp") -> "ModuleDecomp":
         """External product: shapes concatenate, multiplicities multiply."""
@@ -101,7 +99,7 @@ class ModuleDecomp:
         for k1, m1 in self.mults.items():
             for k2, m2 in other.mults.items():
                 out[k1 + k2] = m1 * m2
-        return ModuleDecomp(self.shape + other.shape, out)
+        return _built(self.shape + other.shape, out)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -139,13 +137,16 @@ class ModuleDecomp:
         )
 
 
+def _built(shape: tuple[int, ...], mults: dict[ModuleKey, int]) -> ModuleDecomp:
+    """A module the engine built itself: canonical keys that match the
+    shape and positive multiplicities, so no key is checked again."""
+    module = object.__new__(ModuleDecomp)
+    module.shape, module.mults, module.parts = shape, mults, {}
+    return module
+
+
 def zero_module(shape: Iterable[int]) -> ModuleDecomp:
     return ModuleDecomp(shape)
-
-
-def unit_module() -> ModuleDecomp:
-    """The empty-shape module with a single entry, the tensor identity."""
-    return ModuleDecomp((), {(): 1})
 
 
 @cache
@@ -156,7 +157,7 @@ def matchings_module(r: int) -> ModuleDecomp:
     fixed matching; its decomposition is every partition of 2r with all rows
     even, multiplicity one (cross-checked against the matchings oracle).
     """
-    return ModuleDecomp(
+    return _built(
         (2 * r,),
         {(nu,): 1 for nu in all_diagrams(2 * r) if all(p % 2 == 0 for p in nu)},
     )
@@ -166,13 +167,13 @@ def matchings_module(r: int) -> ModuleDecomp:
 def sign_induction_module(p: int, q: int) -> ModuleDecomp:
     """Sum over 0 <= k <= min(p, q) of the induction to S_{p+q} of the
     matchings module of rank k times sign on S_{p-k} times sign on S_{q-k}."""
-    total: Counter[ModuleKey] = Counter()
+    total: dict[ModuleKey, int] = {}
     for k in range(min(p, q) + 1):
         columns = ((1,) * (p - k), (1,) * (q - k))
         for (tau,) in matchings_module(k).mults:
             for nu, c in induce_outer((tau, *columns)).items():
-                total[(nu,)] += c
-    return ModuleDecomp((p + q,), total)
+                total[(nu,)] = total.get((nu,), 0) + c
+    return _built((p + q,), total)
 
 
 def _remove_vertical_strips(nu: Diagram, size: int) -> Iterator[Diagram]:
@@ -216,7 +217,7 @@ def sign_induction_multiplicity(nu: Diagram, p: int, q: int) -> int:
 def diagonal_module(r: int) -> ModuleDecomp:
     """Sum of label-pair diagonals over S_r x S_r: one copy of (a, a) for
     every label a of size r."""
-    return ModuleDecomp((r, r), {(lam, lam): 1 for lam in all_diagrams(r)})
+    return _built((r, r), {(lam, lam): 1 for lam in all_diagrams(r)})
 
 
 @cache
@@ -262,7 +263,8 @@ def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
     else:
         parts = {"genuine": first, "non_genuine": second}
     total = first + second
-    return ModuleDecomp(total.shape, total.mults, parts=parts)
+    total.parts = parts
+    return total
 
 
 def coh_su(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
@@ -288,7 +290,7 @@ def coh_gl_complex(sig: CosetSignature) -> ModuleDecomp:
     mults = {
         (a, b, a, b): 1 for a in all_diagrams(n_h) for b in all_diagrams(n_0)
     }
-    return ModuleDecomp((n_h, n_0, n_h, n_0), mults)
+    return _built((n_h, n_0, n_h, n_0), mults)
 
 
 def coh_sl_complex(sig: CosetSignature) -> ModuleDecomp:
@@ -298,11 +300,9 @@ def coh_sl_complex(sig: CosetSignature) -> ModuleDecomp:
     n_h, n_0 = sig
     out = coh_gl_complex(sig)
     if n_h == n_0:
-        swap = ModuleDecomp(
+        swap = _built(
             (n_h, n_0, n_h, n_0),
-            Counter(
-                (a, b, b, a) for a in all_diagrams(n_h) for b in all_diagrams(n_0)
-            ),
+            {(a, b, b, a): 1 for a in all_diagrams(n_h) for b in all_diagrams(n_0)},
         )
         out = out + swap
     return out

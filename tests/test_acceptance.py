@@ -201,7 +201,7 @@ def test_criterion_9_structural_zero_in_diagonal_summands():
             n_h, n_0 = coset_signature(orbit)
             if n_h != n_0 or n_h == 0:
                 continue
-            cell = cell_rep(GroupKind.SU, OrbitSpec(orbit))
+            cell = cell_rep(make_group(GroupKind.SU, p=n, q=0), OrbitSpec(orbit))
             if diagonal_module(n_h).multiplicity(cell) != 0:
                 ok = False
             checked += 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 
 def test_count_table_prints_number(cli_runner):
     code, out, err = cli_runner(
@@ -191,6 +193,51 @@ def test_verify_passes(cli_runner):
     rec = json.loads(out)
     assert rec["all_passed"] is True
     assert all(c["pass"] for c in rec["checks"])
+
+
+def test_verify_max_size_below_1_is_usage_error(cli_runner):
+    for size in ("0", "-3"):
+        code, out, err = cli_runner(["verify", "--max-size", size, "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "--max-size" in err
+
+
+# Group arguments with an orbit that does not fit the group, for every kind.
+WRONG_SIZE = [
+    ("gl-r", ["--n", "3", "--orbit", "2,1,1"]),
+    ("sl-r", ["--n", "3", "--orbit", "2,1,1"]),
+    ("gl-c", ["--n", "3", "--orbit", "2,1,1"]),
+    ("gl-c", ["--orbit", "2,1", "--orbit2", "4"]),
+    ("sl-c", ["--n", "3", "--orbit", "2,1,1"]),
+    ("sl-c", ["--orbit", "2,1", "--orbit2", "4"]),
+    ("su", ["--p", "1", "--q", "1", "--orbit", "3"]),
+    ("u-tilde", ["--p", "1", "--q", "1", "--orbit", "3"]),
+    ("gl-h", ["--n", "4", "--orbit", "3,2"]),
+    ("sl-h", ["--n", "4", "--orbit", "3,2"]),
+]
+
+# Kinds a command refuses before looking at the orbit, with their error.
+REFUSED = {
+    "count": dict.fromkeys(["gl-h", "sl-h"], "bijection"),
+    "enumerate": dict.fromkeys(
+        ["gl-c", "sl-c", "su", "u-tilde", "gl-h", "sl-h"], "explicit enumeration"
+    ),
+    "cell": dict.fromkeys(["gl-r", "sl-r", "gl-h", "sl-h"], "no cell label"),
+    "coh": dict.fromkeys(
+        ["gl-r", "sl-r", "gl-h", "sl-h"], "no coherent continuation decomposition"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSED))
+@pytest.mark.parametrize("kind,group_args", WRONG_SIZE)
+def test_wrong_size_orbit_exits_1(cli_runner, command, kind, group_args):
+    code, out, err = cli_runner([command, "--group", kind, *group_args])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert REFUSED[command].get(kind, "match n =") in err
 
 
 def test_console_script_end_to_end():

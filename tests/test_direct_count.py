@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from unipcount import unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
-from unipcount.unipotent import GroupKind, OrbitSpec, cell_rep, count_unipotent, make_group
+from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
     coh_gl_complex,
     coh_sl_complex,
@@ -20,7 +20,7 @@ from unipcount.weylmodules import (
 def _module_counts(p, q, orbit):
     spec = OrbitSpec(orbit)
     sig = coset_signature(orbit)
-    cell = cell_rep(GroupKind.SU, spec)
+    cell = cell_rep(make_group("su", p=p, q=q), spec)
     return coh_su(p, q, sig).multiplicity(cell), coh_u_cover(p, q, sig).multiplicity(cell)
 
 
@@ -59,7 +59,7 @@ def test_complex_closed_form_matches_module_multiplicity():
                 sig = coset_signature(first)
                 if sig not in modules:
                     modules[sig] = build(sig)
-                in_module = modules[sig].multiplicity(cell_rep(kind, OrbitSpec(first, first)))
+                in_module = modules[sig].multiplicity(cell_rep(group, OrbitSpec(first, first)))
                 for second in orbits:
                     expected = in_module if first == second else 0
                     assert count_unipotent(group, OrbitSpec(first, second)) == expected

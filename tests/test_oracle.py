@@ -18,11 +18,17 @@ from unipcount.symreps import (
     inner_product,
     irreducible_character,
     lr_coefficient,
-    sign_character,
-    trivial_character,
 )
 from unipcount.unipotent import gl_r_params
 from unipcount.weylmodules import matchings_module
+
+
+def trivial_character(n):
+    return ClassFunction(n, {mu: 1 for mu in all_diagrams(n)})
+
+
+def sign_character(n):
+    return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in all_diagrams(n)})
 
 
 def test_all_matchings_counts():

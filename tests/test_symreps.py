@@ -15,11 +15,21 @@ from unipcount.symreps import (
     irreducible_character,
     irrep_dimension,
     lr_coefficient,
-    lr_expand,
-    regular_character,
-    sign_character,
-    trivial_character,
 )
+
+
+def trivial_character(n):
+    return ClassFunction(n, {mu: 1 for mu in all_diagrams(n)})
+
+
+def sign_character(n):
+    return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in all_diagrams(n)})
+
+
+def regular_character(n):
+    values = {mu: 0 for mu in all_diagrams(n)}
+    values[(1,) * n] = factorial(n)
+    return ClassFunction(n, values)
 
 
 def test_trivial_and_sign_rows():
@@ -114,8 +124,8 @@ def test_lr_coefficient_size_mismatch_is_error():
 
 
 def test_lr_expand_pieri_row():
-    assert lr_expand((2,), (1,)) == {(3,): 1, (2, 1): 1}
-    assert lr_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    assert induce_outer([(2,), (1,)]) == {(3,): 1, (2, 1): 1}
+    assert induce_outer([(1,), (1,)]) == {(2,): 1, (1, 1): 1}
 
 
 def test_induce_outer_examples():
@@ -184,6 +194,21 @@ def test_character_table_stores_a_memoized_table(tmp_path):
     assert (tmp_path / "chartable_5.json").is_file()
     symreps._TABLES.pop(5, None)
     assert character_table(5, cache_dir=tmp_path) == memo
+
+
+def test_character_table_repairs_a_corrupt_file_for_a_memoized_table(tmp_path):
+    import unipcount.symreps as symreps
+
+    memo = character_table(5)
+    path = tmp_path / "chartable_5.json"
+    path.write_text("{not json")
+    assert character_table(5, cache_dir=tmp_path) is memo
+    assert symreps._load_table(5, tmp_path) == memo
+
+
+def test_irreducible_character_is_built_once_per_label():
+    assert irreducible_character((2, 1)) is irreducible_character((2, 1))
+    assert irreducible_character((2, 1)).values == character_table(3)[(2, 1)]
 
 
 def test_character_table_store_is_atomic(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from unipcount.diagrams import all_diagrams, make_diagram, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
+    InvalidPartitionError,
     ParameterRangeError,
     UnsupportedGroupError,
 )
@@ -19,7 +20,6 @@ from unipcount.unipotent import (
     enumeration_record,
     gl_r_params,
     make_group,
-    make_orbit,
     sign_twist,
     sl_r_enumerate,
     split_by_twist,
@@ -49,9 +49,9 @@ def test_make_group_validation():
 
 
 def test_cell_rep_examples():
-    assert cell_rep("su", OrbitSpec((1, 1))) == ((), (2,))
-    assert cell_rep("su", OrbitSpec((2, 1, 1))) == ((1, 1), (2,))
-    assert cell_rep("sl-c", OrbitSpec((2, 1), (2, 1))) == (
+    assert cell_rep(make_group("su", p=1, q=1), OrbitSpec((1, 1))) == ((), (2,))
+    assert cell_rep(make_group("su", p=2, q=2), OrbitSpec((2, 1, 1))) == ((1, 1), (2,))
+    assert cell_rep(make_group("sl-c", n=3), OrbitSpec((2, 1), (2, 1))) == (
         (1, 1),
         (1,),
         (1, 1),
@@ -61,11 +61,15 @@ def test_cell_rep_examples():
 
 def test_cell_rep_kind_and_shape_errors():
     with pytest.raises(UnsupportedGroupError):
-        cell_rep("gl-r", OrbitSpec((2,)))
+        cell_rep(make_group("gl-r", n=2), OrbitSpec((2,)))
     with pytest.raises(DegreeMismatchError):
-        cell_rep("sl-c", OrbitSpec((2,)))
+        cell_rep(make_group("sl-c", n=2), OrbitSpec((2,)))
     with pytest.raises(DegreeMismatchError):
-        cell_rep("su", OrbitSpec((2,), (2,)))
+        cell_rep(make_group("su", p=1, q=1), OrbitSpec((2,), (2,)))
+    with pytest.raises(DegreeMismatchError):
+        cell_rep(make_group("su", p=1, q=1), OrbitSpec((3,)))
+    with pytest.raises(DegreeMismatchError):
+        cell_rep(make_group("gl-c", n=5), OrbitSpec((2, 1), (2, 1)))
 
 
 def test_gl_r_params_counts():
@@ -263,7 +267,13 @@ def test_enumeration_record():
         enumeration_record(make_group("su", p=1, q=1), OrbitSpec((2,)))
 
 
-def test_make_orbit_validates():
-    assert make_orbit((2, 1)).first == (2, 1)
-    assert make_orbit((2, 1), (3,)).second == (3,)
-    assert not make_orbit((2, 1)).is_pair
+def test_orbit_spec_validates():
+    assert OrbitSpec([2, 1]).first == (2, 1)
+    assert OrbitSpec((2, 1), (3,)).second == (3,)
+    assert not OrbitSpec((2, 1)).is_pair
+    for first, second in [((4, -1), None), ((1, 2), None), ((2,), (0,))]:
+        with pytest.raises(InvalidPartitionError):
+            OrbitSpec(first, second)
+    # A bad diagram is refused before any group sees it.
+    with pytest.raises(InvalidPartitionError):
+        count_unipotent(make_group("su", p=3, q=0), OrbitSpec((4, -1)))

@@ -15,7 +15,6 @@ from unipcount.weylmodules import (
     diagonal_module,
     matchings_module,
     sign_induction_module,
-    unit_module,
     zero_module,
 )
 
@@ -43,8 +42,9 @@ def test_sum_dimension_additive():
 
 def test_tensor_unit_and_shapes():
     a = md((2,), {((2,),): 1, ((1, 1),): 2})
-    assert unit_module().tensor(a) == a
-    assert a.tensor(unit_module()) == a
+    unit = md((), {(): 1})
+    assert unit.tensor(a) == a
+    assert a.tensor(unit) == a
     t = md((2,), {((2,),): 1}).tensor(md((1,), {((1,),): 1}))
     assert t == md((2, 1), {((2,), (1,)): 1})
     assert t.shape == (2, 1)
@@ -218,7 +218,7 @@ def test_json_roundtrip_and_canonical_order():
     keys = [tuple(tuple(d) for d in e["key"]) for e in obj["mults"]]
     assert keys == sorted(keys, reverse=True)
     assert ModuleDecomp.from_json_obj(obj) == module
-    unit = unit_module()
+    unit = md((), {(): 1})
     assert ModuleDecomp.from_json_obj(unit.to_json_obj()) == unit
     zero = zero_module((3, 1))
     assert ModuleDecomp.from_json_obj(zero.to_json_obj()) == zero
