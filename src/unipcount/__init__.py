@@ -35,7 +35,6 @@ from .symreps import (
     ClassFunction,
     character_table,
     character_value,
-    induce_outer,
     inner_product,
     irrep_dimension,
     lr_coefficient,
@@ -70,5 +69,4 @@ from .weylmodules import (
     diagonal_module,
     matchings_module,
     sign_induction_module,
-    zero_module,
 )

@@ -1,9 +1,9 @@
 """Exact character theory of the symmetric groups.
 
 Character values come from the Murnaghan-Nakayama border-strip recursion,
-dimensions from the hook-length formula, and products of irreducibles from
-the Littlewood-Richardson rule. Everything is integer arithmetic; rationals
-appear only transiently inside inner products.
+dimensions from the hook-length formula, and Littlewood-Richardson
+coefficients from a count of lattice-word tableaux. Everything is integer
+arithmetic; rationals appear only transiently inside inner products.
 
 Irreducible representations of S_n are labeled by diagrams of size n, with
 the one-row diagram the trivial representation and the one-column diagram
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transpose
 from .errors import DegreeMismatchError
@@ -179,31 +179,6 @@ def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
         return total
 
     return fill(0)
-
-
-@cache
-def _lr_expand(lam: Diagram, mu: Diagram) -> tuple[tuple[Diagram, int], ...]:
-    total = sum(lam) + sum(mu)
-    out = []
-    for nu in all_diagrams(total):
-        c = _lr(lam, mu, nu)
-        if c:
-            out.append((nu, c))
-    return tuple(out)
-
-
-def induce_outer(factors: Iterable[IrrepLabel]) -> dict[Diagram, int]:
-    """Decomposition of the outer product of the given irreducibles in the
-    symmetric group of the total degree; the empty sequence gives the unit."""
-    result: dict[Diagram, int] = {(): 1}
-    for label in factors:
-        label = check_diagram(label)
-        step: Counter[Diagram] = Counter()
-        for kappa, m in result.items():
-            for nu, c in _lr_expand(kappa, label):
-                step[nu] += m * c
-        result = dict(step)
-    return result
 
 
 # Per-degree memo. Builds are pure and idempotent, so a race between two

@@ -5,7 +5,6 @@ based counts of special unipotent representations for all supported kinds.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from itertools import product
 from math import prod
 from typing import NamedTuple
@@ -22,11 +21,11 @@ from .diagrams import (
 from .errors import DegreeMismatchError, ParameterRangeError, UnsupportedGroupError
 from .weylmodules import (
     ModuleDecomp,
+    block_multiplicity,
     coh_gl_complex,
     coh_sl_complex,
     coh_su,
     coh_u_cover,
-    sign_induction_multiplicity,
 )
 
 
@@ -194,7 +193,10 @@ def gl_r_params(orbit: Diagram) -> tuple[InducedRepDescriptor, ...]:
     """All induced parameters for the real general linear group at the orbit:
     one descriptor per sign-count tuple, in lexicographic order. There are
     prod(m_l + 1) of them."""
-    profile = row_profile(check_diagram(orbit))
+    return _gl_r_params(row_profile(check_diagram(orbit)))
+
+
+def _gl_r_params(profile: RowProfile) -> tuple[InducedRepDescriptor, ...]:
     return tuple(
         _descriptor(profile, a)
         for a in product(*(range(m + 1) for m in profile.mults))
@@ -224,7 +226,10 @@ def split_by_twist(orbit: Diagram) -> TwistSplit:
     points 2a = m (one tuple when every multiplicity is even, none
     otherwise), and minus the twist of plus.
     """
-    profile = row_profile(check_diagram(orbit))
+    return _split_by_twist(row_profile(check_diagram(orbit)))
+
+
+def _split_by_twist(profile: RowProfile) -> TwistSplit:
     m = profile.mults
     plus: list[tuple[int, ...]] = []
     minus: list[tuple[int, ...]] = []
@@ -257,25 +262,17 @@ def sl_r_enumerate(orbit: Diagram) -> tuple[SLRParam, ...]:
     orbit = check_diagram(orbit)
     if sum(orbit) < 2:
         raise UnsupportedGroupError("special linear enumeration requires n >= 2")
-    profile = row_profile(orbit)
-    split = split_by_twist(orbit)
+    return _sl_r_params(row_profile(orbit))
+
+
+def _sl_r_params(profile: RowProfile) -> tuple[SLRParam, ...]:
+    split = _split_by_twist(profile)
     params = [SLRParam(_descriptor(profile, a)) for a in split.plus]
     for a in split.zero:
         fixed = _descriptor(profile, a)
         params.append(SLRParam(fixed, "+"))
         params.append(SLRParam(fixed, "-"))
     return tuple(params)
-
-
-@cache
-def _block(p: int, q: int, r: int, matched: Diagram, other: Diagram) -> int:
-    """Multiplicity of (matched, other) in a block summand of the unitary
-    modules (block_matchings_first(p, q, r) read in that factor order):
-    the matchings module on the degree-r factor, whose constituents are the
-    diagrams with all rows even, times the sign inductions on the rest."""
-    if r % 2 or min(p, q) < r // 2 or any(row % 2 for row in matched):
-        return 0
-    return sign_induction_multiplicity(other, p - r // 2, q - r // 2)
 
 
 def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
@@ -289,16 +286,17 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
 
     Unitary kinds: the cell is (a, b) = (transpose of the even rows,
     transpose of the odd rows), with |a| = n_h and |b| = n_0. The two block
-    summands contribute _block(p, q, n_h, a, b) + _block(p, q, n_0, b, a),
-    where the sign-induction factor is read off by the Pieri rule for
-    vertical strips (Macdonald, Symmetric Functions and Hall Polynomials,
-    I.(5.16)-(5.17); see sign_induction_multiplicity). The diagonal
-    summands of SU never contain the cell, so SU and the double cover share
-    this formula. Proof: the largest part of transpose(d) is the number of
-    rows of d, and it occurs as many times as the smallest row of d is
-    long. That is even for a (built from even rows) and odd for b (built
-    from odd rows), so a != b unless both are empty, i.e. n = 0, which no
-    group allows. A diagonal key (x, x) therefore never equals (a, b).
+    summands contribute block_multiplicity(p, q, n_h, a, b) +
+    block_multiplicity(p, q, n_0, b, a), where the sign-induction factor is
+    read off by the Pieri rule for vertical strips (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.(5.16)-(5.17); see
+    sign_induction_multiplicity). The diagonal summands of SU never contain
+    the cell, so SU and the double cover share this formula. Proof: the
+    largest part of transpose(d) is the number of rows of d, and it occurs
+    as many times as the smallest row of d is long. That is even for a
+    (built from even rows) and odd for b (built from odd rows), so a != b
+    unless both are empty, i.e. n = 0, which no group allows. A diagonal
+    key (x, x) therefore never equals (a, b).
 
     Complex kinds: an unequal orbit pair has no attached representations at
     all, so it counts 0. For an equal pair the cell is (a, b, a, b), and the
@@ -320,14 +318,14 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     if kind is GroupKind.GL_R:
         return prod(m + 1 for m in row_profile(orbit.first).mults)
     if kind is GroupKind.SL_R:
-        return len(sl_r_enumerate(orbit.first))
+        return len(_sl_r_params(row_profile(orbit.first)))
     if kind in COMPLEX_KINDS:
         return int(orbit.first == orbit.second)
     a, b = _cell(orbit.first)
     # |transpose(d)| = |d|, so a and b have the coset signature's sizes.
     n_h, n_0 = sum(a), sum(b)
     p, q = group.p, group.q
-    return _block(p, q, n_h, a, b) + _block(p, q, n_0, b, a)
+    return block_multiplicity(p, q, n_h, a, b) + block_multiplicity(p, q, n_0, b, a)
 
 
 def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
@@ -381,10 +379,11 @@ def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
             f"explicit enumeration is only available for gl-r and sl-r, not {group.kind.value}"
         )
     _check_orbit(group, orbit)
+    profile = row_profile(orbit.first)
     if group.kind is GroupKind.GL_R:
-        params = [(desc, None) for desc in gl_r_params(orbit.first)]
+        params = [(desc, None) for desc in _gl_r_params(profile)]
     else:
-        params = [(param.descriptor, param.sign) for param in sl_r_enumerate(orbit.first)]
+        params = [(param.descriptor, param.sign) for param in _sl_r_params(profile)]
     rows = []
     for index, (desc, sign) in enumerate(params):
         row = {

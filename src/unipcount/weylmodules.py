@@ -7,9 +7,8 @@ keeps its shape, so sums stay total on matching shapes.
 """
 
 from functools import cache
-from itertools import product
 from math import prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .diagrams import (
     CosetSignature,
@@ -17,10 +16,9 @@ from .diagrams import (
     all_diagrams,
     check_diagram,
     format_diagram,
-    row_profile,
 )
-from .errors import DegreeMismatchError, ShapeMismatchError
-from .symreps import induce_outer, irrep_dimension
+from .errors import DegreeMismatchError, ShapeMismatchError, UnsupportedGroupError
+from .symreps import irrep_dimension
 
 ModuleKey = tuple[Diagram, ...]
 
@@ -145,10 +143,6 @@ def _built(shape: tuple[int, ...], mults: dict[ModuleKey, int]) -> ModuleDecomp:
     return module
 
 
-def zero_module(shape: Iterable[int]) -> ModuleDecomp:
-    return ModuleDecomp(shape)
-
-
 @cache
 def matchings_module(r: int) -> ModuleDecomp:
     """Permutation module of S_{2r} on perfect matchings.
@@ -163,33 +157,41 @@ def matchings_module(r: int) -> ModuleDecomp:
     )
 
 
+def _check_signature(p: int, q: int) -> None:
+    if p < 0 or q < 0:
+        raise UnsupportedGroupError(f"p and q must be non-negative, got ({p}, {q})")
+
+
 @cache
 def sign_induction_module(p: int, q: int) -> ModuleDecomp:
     """Sum over 0 <= k <= min(p, q) of the induction to S_{p+q} of the
-    matchings module of rank k times sign on S_{p-k} times sign on S_{q-k}."""
-    total: dict[ModuleKey, int] = {}
-    for k in range(min(p, q) + 1):
-        columns = ((1,) * (p - k), (1,) * (q - k))
-        for (tau,) in matchings_module(k).mults:
-            for nu, c in induce_outer((tau, *columns)).items():
-                total[(nu,)] = total.get((nu,), 0) + c
-    return _built((p + q,), total)
+    matchings module of rank k times sign on S_{p-k} times sign on S_{q-k},
+    read entry by entry off sign_induction_multiplicity."""
+    _check_signature(p, q)
+    mults = {(nu,): m for nu in all_diagrams(p + q) if (m := sign_induction_multiplicity(nu, p, q))}
+    return _built((p + q,), mults)
 
 
-def _remove_vertical_strips(nu: Diagram, size: int) -> Iterator[Diagram]:
+@cache
+def _remove_vertical_strips(nu: Diagram, size: int) -> tuple[Diagram, ...]:
     """Every diagram left by removing a vertical strip of the given size
-    from nu: at most one box per row, so within each block of equal rows
-    only the bottom j rows can lose their last box."""
-    profile = row_profile(nu)
-    for cut in product(*(range(m + 1) for m in profile.mults)):
-        if sum(cut) != size:
-            continue
-        rows: list[int] = []
-        for length, m, j in zip(profile.lengths, profile.mults, cut):
-            rows.extend([length] * (m - j))
-            if length > 1:
-                rows.extend([length - 1] * j)
-        yield tuple(rows)
+    from nu. A vertical strip takes at most one box per row, so within each
+    block of equal rows only the bottom j rows can lose their last box; the
+    recursion cuts j boxes from the top block and the rest from the blocks
+    below it."""
+    if size > len(nu):
+        return ()
+    if not nu:
+        return ((),)
+    m = nu.count(nu[0])
+    length, rest = nu[0], nu[m:]
+    out = []
+    for j in range(min(m, size) + 1):
+        head = (length,) * (m - j)
+        if length > 1:
+            head += (length - 1,) * j
+        out.extend(head + tail for tail in _remove_vertical_strips(rest, size - j))
+    return tuple(out)
 
 
 @cache
@@ -220,27 +222,56 @@ def diagonal_module(r: int) -> ModuleDecomp:
     return _built((r, r), {(lam, lam): 1 for lam in all_diagrams(r)})
 
 
+def _block_signature(p: int, q: int, r: int) -> tuple[int, int] | None:
+    """(p, q) of the sign induction beside a degree-r matchings factor in a
+    block summand, or None when r is odd or min(p, q) < r/2 (a zero block)."""
+    _check_signature(p, q)
+    if r % 2 or min(p, q) < r // 2:
+        return None
+    return p - r // 2, q - r // 2
+
+
 @cache
 def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     """Matchings module on a degree-r first factor tensored with the sign
     inductions on the remaining degree; the zero module of shape
     (r, p+q-r) when r is odd or min(p, q) < r/2."""
-    shape = (r, p + q - r)
-    if r % 2 or min(p, q) < r // 2:
-        return zero_module(shape)
-    half = r // 2
-    return matchings_module(half).tensor(sign_induction_module(p - half, q - half))
+    rest = _block_signature(p, q, r)
+    if rest is None:
+        return ModuleDecomp((r, p + q - r))
+    return matchings_module(r // 2).tensor(sign_induction_module(*rest))
 
 
 @cache
 def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     """Mirror of block_matchings_first, with the matchings factor second and
     shape (p+q-r, r)."""
-    shape = (p + q - r, r)
-    if r % 2 or min(p, q) < r // 2:
-        return zero_module(shape)
-    half = r // 2
-    return sign_induction_module(p - half, q - half).tensor(matchings_module(half))
+    rest = _block_signature(p, q, r)
+    if rest is None:
+        return ModuleDecomp((p + q - r, r))
+    return sign_induction_module(*rest).tensor(matchings_module(r // 2))
+
+
+@cache
+def block_multiplicity(p: int, q: int, r: int, matched: Diagram, other: Diagram) -> int:
+    """Multiplicity of (matched, other) in block_matchings_first(p, q, r),
+    without building it: the matchings factor holds exactly the diagrams
+    with all rows even, once each, so this is sign_induction_multiplicity
+    of the other factor, or 0."""
+    rest = _block_signature(p, q, r)
+    if rest is None or any(row % 2 for row in matched):
+        return 0
+    return sign_induction_multiplicity(other, *rest)
+
+
+def _blocks(p: int, q: int, sig: CosetSignature) -> tuple[ModuleDecomp, ModuleDecomp]:
+    """The two block summands of the unitary modules at the coset."""
+    n_h, n_0 = sig
+    if p + q != n_h + n_0:
+        raise DegreeMismatchError(
+            f"p + q = {p + q} does not match coset degree {n_h + n_0}"
+        )
+    return block_matchings_first(p, q, n_h), block_matchings_second(p, q, n_0)
 
 
 def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
@@ -251,13 +282,7 @@ def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
     ``genuine`` and ``non_genuine``; which block is which flips with the
     parity of p + q.
     """
-    n_h, n_0 = sig
-    if p + q != n_h + n_0:
-        raise DegreeMismatchError(
-            f"p + q = {p + q} does not match coset degree {n_h + n_0}"
-        )
-    first = block_matchings_first(p, q, n_h)
-    second = block_matchings_second(p, q, n_0)
+    first, second = _blocks(p, q, sig)
     if (p + q) % 2:
         parts = {"genuine": second, "non_genuine": first}
     else:
@@ -270,13 +295,9 @@ def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
 def coh_su(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
     """Coherent continuation module of SU(p, q): the two block summands,
     plus two diagonal summands exactly when p = q = n_h = n_0."""
-    n_h, n_0 = sig
-    if p + q != n_h + n_0:
-        raise DegreeMismatchError(
-            f"p + q = {p + q} does not match coset degree {n_h + n_0}"
-        )
-    total = block_matchings_first(p, q, n_h) + block_matchings_second(p, q, n_0)
-    if p == q == n_h == n_0:
+    first, second = _blocks(p, q, sig)
+    total = first + second
+    if p == q == sig[0] == sig[1]:
         diag = diagonal_module(p)
         total = total + diag + diag
     return total

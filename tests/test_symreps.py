@@ -10,7 +10,6 @@ from unipcount.symreps import (
     character_table,
     character_value,
     centralizer_order,
-    induce_outer,
     inner_product,
     irreducible_character,
     irrep_dimension,
@@ -110,6 +109,12 @@ def test_tensor_with_sign_transposes_label():
         ((2,), (1,), (3,), 1),
         ((2,), (1,), (1, 1, 1), 0),
         ((2, 1), (2, 1), (3, 2, 1), 2),
+        ((1,), (1,), (2,), 1),
+        ((1,), (1,), (1, 1), 1),
+        ((1, 1), (1,), (2, 1), 1),
+        ((1, 1), (1,), (1, 1, 1), 1),
+        ((1, 1), (1,), (3,), 0),
+        ((), (2,), (2,), 1),
     ],
 )
 def test_lr_coefficient_examples(lam, mu, nu, expected):
@@ -123,31 +128,6 @@ def test_lr_coefficient_size_mismatch_is_error():
         lr_coefficient((2,), (1,), (2, 2))
 
 
-def test_lr_expand_pieri_row():
-    assert induce_outer([(2,), (1,)]) == {(3,): 1, (2, 1): 1}
-    assert induce_outer([(1,), (1,)]) == {(2,): 1, (1, 1): 1}
-
-
-def test_induce_outer_examples():
-    assert induce_outer([(1,), (1,)]) == {(2,): 1, (1, 1): 1}
-    assert induce_outer([(4,)]) == {(4,): 1}
-    assert induce_outer([(1, 1), (1,)]) == {(2, 1): 1, (1, 1, 1): 1}
-    assert induce_outer([]) == {(): 1}
-    assert induce_outer([(), (2,)]) == {(2,): 1}
-
-
-def test_induce_outer_dimension_is_multinomial():
-    # dim of the induced module is the multinomial coefficient times the
-    # product of factor dimensions
-    factors = [(2, 1), (1, 1), (2,)]
-    result = induce_outer(factors)
-    total = sum(m * irrep_dimension(nu) for nu, m in result.items())
-    expected = (
-        factorial(7)
-        // (factorial(3) * factorial(2) * factorial(2))
-        * irrep_dimension((2, 1))
-    )
-    assert total == expected
 
 
 def test_sum_of_squared_dimensions():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unipcount import unipotent
 from unipcount.diagrams import all_diagrams, make_diagram, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
@@ -277,3 +278,15 @@ def test_orbit_spec_validates():
     # A bad diagram is refused before any group sees it.
     with pytest.raises(InvalidPartitionError):
         count_unipotent(make_group("su", p=3, q=0), OrbitSpec((4, -1)))
+
+
+def test_real_queries_check_the_diagram_only_in_orbit_spec(monkeypatch):
+    sl_r, gl_r = make_group("sl-r", n=4), make_group("gl-r", n=4)
+    spec = OrbitSpec((2, 2))
+    calls = []
+    checked = unipotent.check_diagram
+    monkeypatch.setattr(unipotent, "check_diagram", lambda d: calls.append(d) or checked(d))
+    assert count_unipotent(sl_r, spec) == 3
+    assert enumeration_record(sl_r, spec)["count"] == 3
+    assert enumeration_record(gl_r, spec)["count"] == 3
+    assert calls == []

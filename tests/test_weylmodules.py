@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from unipcount.diagrams import all_diagrams, coset_signature
-from unipcount.errors import DegreeMismatchError, ShapeMismatchError
+from unipcount.errors import DegreeMismatchError, ShapeMismatchError, UnsupportedGroupError
 from unipcount.weylmodules import (
     ModuleDecomp,
     block_matchings_first,
@@ -15,7 +15,6 @@ from unipcount.weylmodules import (
     diagonal_module,
     matchings_module,
     sign_induction_module,
-    zero_module,
 )
 
 
@@ -25,7 +24,7 @@ def md(shape, mults):
 
 def test_sum_identity_and_pointwise():
     a = md((2,), {((2,),): 1})
-    assert a + zero_module((2,)) == a
+    assert a + ModuleDecomp((2,)) == a
     assert a + md((2,), {((2,),): 2}) == md((2,), {((2,),): 3})
 
 
@@ -57,7 +56,7 @@ def test_tensor_dimension_multiplicative():
 
 
 def test_multiplicity_lookup():
-    zero = zero_module((2, 2))
+    zero = ModuleDecomp((2, 2))
     assert zero.multiplicity(((2,), (1, 1))) == 0
     assert diagonal_module(2).multiplicity(((2,), (2,))) == 1
     assert diagonal_module(2).multiplicity(((1, 1), (2,))) == 0
@@ -106,12 +105,12 @@ def test_diagonal_module_dimension():
 
 
 def test_blocks_vanish_for_odd_rank():
-    assert block_matchings_first(1, 1, 1) == zero_module((1, 1))
-    assert block_matchings_second(2, 1, 1) == zero_module((2, 1))
+    assert block_matchings_first(1, 1, 1) == ModuleDecomp((1, 1))
+    assert block_matchings_second(2, 1, 1) == ModuleDecomp((2, 1))
 
 
 def test_blocks_vanish_when_rank_exceeds_signature():
-    assert block_matchings_first(2, 0, 2) == zero_module((2, 0))
+    assert block_matchings_first(2, 0, 2) == ModuleDecomp((2, 0))
 
 
 def test_block_examples():
@@ -153,6 +152,23 @@ def test_coh_u_cover_parts_cover_total_and_follow_parity():
 def test_coh_u_cover_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         coh_u_cover(1, 1, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (sign_induction_module, (-1, 3)),
+        (coh_su, (-1, 3, (0, 2))),
+        (coh_u_cover, (3, -1, (2, 0))),
+        (block_matchings_first, (-1, 3, 0)),
+        (block_matchings_second, (3, -1, 0)),
+    ],
+)
+def test_builders_reject_negative_signature(build, args):
+    # make_group refuses these signatures; the exported builders must too
+    # rather than return a zero module
+    with pytest.raises(UnsupportedGroupError):
+        build(*args)
 
 
 def test_coh_su_examples():
@@ -220,5 +236,5 @@ def test_json_roundtrip_and_canonical_order():
     assert ModuleDecomp.from_json_obj(obj) == module
     unit = md((), {(): 1})
     assert ModuleDecomp.from_json_obj(unit.to_json_obj()) == unit
-    zero = zero_module((3, 1))
+    zero = ModuleDecomp((3, 1))
     assert ModuleDecomp.from_json_obj(zero.to_json_obj()) == zero
