@@ -279,7 +279,12 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     """Number of special unipotent representations of the group attached to
     the orbit.
 
-    Real general/special linear kinds are counted by explicit enumeration.
+    Real general/special linear kinds count their enumerations without
+    listing them. gl-r has one parameter per sign-count tuple, prod(m + 1)
+    of them. For sl-r, the twist a -> m - a pairs off every tuple except
+    the fixed point 2a = m, which exists (e = 1) exactly when every
+    multiplicity is even; one parameter per pair and two at the fixed point
+    give (prod(m + 1) - e)/2 + 2e = (prod(m + 1) + 3e)/2.
     The unitary and complex kinds count the multiplicity of the cell label
     in the coherent continuation module, computed directly, without
     building the module.
@@ -315,10 +320,13 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
             "general linear side's classification is external to this engine"
         )
     _check_orbit(group, orbit)
-    if kind is GroupKind.GL_R:
-        return prod(m + 1 for m in row_profile(orbit.first).mults)
-    if kind is GroupKind.SL_R:
-        return len(_sl_r_params(row_profile(orbit.first)))
+    if kind in ENUMERATED_KINDS:
+        mults = row_profile(orbit.first).mults
+        total = prod(m + 1 for m in mults)
+        if kind is GroupKind.GL_R:
+            return total
+        fixed = all(m % 2 == 0 for m in mults)
+        return (total + 3 * fixed) // 2
     if kind in COMPLEX_KINDS:
         return int(orbit.first == orbit.second)
     a, b = _cell(orbit.first)

@@ -16,6 +16,7 @@ from .diagrams import (
     all_diagrams,
     check_diagram,
     format_diagram,
+    row_profile,
 )
 from .errors import DegreeMismatchError, ShapeMismatchError, UnsupportedGroupError
 from .symreps import irrep_dimension
@@ -173,25 +174,17 @@ def sign_induction_module(p: int, q: int) -> ModuleDecomp:
 
 
 @cache
-def _remove_vertical_strips(nu: Diagram, size: int) -> tuple[Diagram, ...]:
-    """Every diagram left by removing a vertical strip of the given size
-    from nu. A vertical strip takes at most one box per row, so within each
-    block of equal rows only the bottom j rows can lose their last box; the
-    recursion cuts j boxes from the top block and the rest from the blocks
-    below it."""
-    if size > len(nu):
-        return ()
-    if not nu:
-        return ((),)
-    m = nu.count(nu[0])
-    length, rest = nu[0], nu[m:]
-    out = []
-    for j in range(min(m, size) + 1):
-        head = (length,) * (m - j)
-        if length > 1:
-            head += (length - 1,) * j
-        out.extend(head + tail for tail in _remove_vertical_strips(rest, size - j))
-    return tuple(out)
+def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
+    """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the
+    product of m_b + 1 over the even-length blocks of nu."""
+    profile = row_profile(nu)
+    c_odd, even = [1], 1
+    for length, m in zip(profile.lengths, profile.mults):
+        if length % 2:
+            c_odd = [sum(c_odd[max(t - m, 0) : t + 1]) for t in range(len(c_odd) + m)]
+        else:
+            even *= m + 1
+    return tuple(c_odd), even
 
 
 @cache
@@ -206,13 +199,34 @@ def sign_induction_multiplicity(nu: Diagram, p: int, q: int) -> int:
     that take nu, remove a vertical strip of size q-k, then one of size p-k,
     and end on a diagram with all rows even (a constituent of the matchings
     module of rank k), summed over 0 <= k <= min(p, q).
+
+    Closed form: a row loses at most one box to each strip and ends even,
+    so each odd row loses exactly one box, to one of the two strips, and
+    each even row loses none or two, one to each. A strip takes its boxes
+    from the bottom rows of each run of equal rows, so the filling of a
+    block of equal rows of nu is fixed by how many of its rows go to each
+    strip. Blocks differ in length, an odd row loses one box and an even
+    row two or none, so every such choice keeps both shapes along the chain
+    diagrams: nothing links different blocks. Let O be the number of odd
+    rows, I the number of them that lose their box to the strip of size
+    p-k, and J the number of even rows that lose two. Then p-k = I + J and
+    q-k = O - I + J, so I = (O + p - q)/2 and k = p - I - J. A block of m_b
+    rows sends 0..m_b of them to a strip, so the fillings with given I and
+    J number c_odd(I) c_even(J), the coefficients of x^I and x^J in the
+    product of 1 + x + ... + x^{m_b} over the odd-length and over the
+    even-length blocks. The condition k >= 0, that is J <= (p + q - O)/2,
+    never binds: with E even rows, p + q = |nu| >= O + 2E, so every J <= E
+    is allowed, and the sum of c_even(J) over J is the product of m_b + 1
+    over the even-length blocks. Hence the multiplicity is c_odd(I) times
+    that product, with I an integer since O = |nu| = p + q mod 2; it is 0
+    unless |nu| = p + q.
     """
-    return sum(
-        all(row % 2 == 0 for row in tau)
-        for k in range(min(p, q) + 1)
-        for mu in _remove_vertical_strips(nu, q - k)
-        for tau in _remove_vertical_strips(mu, p - k)
-    )
+    _check_signature(p, q)
+    if sum(nu) != p + q:
+        return 0
+    c_odd, even = _strip_fillings(nu)
+    i = (len(c_odd) - 1 + p - q) // 2
+    return c_odd[i] * even if 0 <= i < len(c_odd) else 0
 
 
 @cache

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,18 +245,18 @@ def test_wrong_size_orbit_exits_1(cli_runner, command, kind, group_args):
     assert REFUSED[command].get(kind, "match n =") in err
 
 
-def test_console_script_end_to_end():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _child_env():
+    """Environment for a child interpreter that imports the same unipcount as
+    this process, installed or not."""
     import unipcount
 
-    # The child imports the same unipcount as this process, installed or not.
     src = str(Path(unipcount.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_end_to_end():
     proc = subprocess.run(
         [
             sys.executable,
@@ -262,7 +267,36 @@ def test_console_script_end_to_end():
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "group_args, orbit, count",
+    [
+        (["su", "--p", "34", "--q", "34"], "15,13,11,9,7,5,3,2,2,1", 1026),
+        (["su", "--p", "54", "--q", "54"], "19,17,15,13,11,9,7,5,3,2,2,2,2,1", 8262),
+        (["sl-r", "--n", "156"], ",".join(str(r) for r in range(12, 0, -1) for _ in "ab"), 265722),
+        (["sl-r", "--n", "182"], ",".join(str(r) for r in range(13, 0, -1) for _ in "ab"), 797163),
+    ],
+    ids=["su-n68", "su-n108", "sl-r-n156", "sl-r-n182"],
+)
+def test_large_counts_run_in_bounded_memory(group_args, orbit, count):
+    # Counts are arithmetic: these orbits (n = 68 to 182) count in a fraction
+    # of a second under a 1 GiB address-space limit on the child.
+    proc = subprocess.run(
+        [sys.executable, "-m", "unipcount.cli", "count", "--group", *group_args, "--orbit", orbit],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{count}\n"

@@ -1,10 +1,12 @@
 """The direct counts of count_unipotent against the built modules: the Pieri
 multiplicity for su and u-tilde, and the closed form for gl-c and sl-c."""
 
+from functools import cache
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipcount import weylmodules
+from unipcount import unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
 from unipcount.symreps import lr_coefficient
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
@@ -64,6 +66,56 @@ def test_sign_induction_multiplicity_matches_module_entries():
                 assert sign_induction_multiplicity(nu, p, q) == expected.get((nu,), 0)
 
 
+@cache
+def _remove_vertical_strips(nu, size):
+    """Every diagram left by removing a vertical strip of the given size
+    from nu. A vertical strip takes at most one box per row, so within each
+    block of equal rows only the bottom j rows can lose their last box; the
+    recursion cuts j boxes from the top block and the rest from the blocks
+    below it."""
+    if size > len(nu):
+        return ()
+    if not nu:
+        return ((),)
+    m = nu.count(nu[0])
+    length, rest = nu[0], nu[m:]
+    out = []
+    for j in range(min(m, size) + 1):
+        head = (length,) * (m - j)
+        if length > 1:
+            head += (length - 1,) * j
+        out.extend(head + tail for tail in _remove_vertical_strips(rest, size - j))
+    return tuple(out)
+
+
+def _strip_chains(nu, p, q):
+    """The Pieri count that sign_induction_multiplicity puts in closed form:
+    chains that remove a vertical strip of size q-k, then one of size p-k,
+    and end on a diagram with all rows even, over 0 <= k <= min(p, q)."""
+    return sum(
+        all(row % 2 == 0 for row in tau)
+        for k in range(min(p, q) + 1)
+        for mu in _remove_vertical_strips(nu, q - k)
+        for tau in _remove_vertical_strips(mu, p - k)
+    )
+
+
+def test_sign_induction_multiplicity_matches_strip_chains():
+    triples = 0
+    for total in range(15):
+        for nu in all_diagrams(total):
+            for p in range(total + 1):
+                assert sign_induction_multiplicity(nu, p, total - p) == _strip_chains(
+                    nu, p, total - p
+                ), (nu, p)
+                triples += 1
+    assert triples == 6357
+    # sign_induction_module(p, q) holds only diagrams of size p + q; the
+    # chains above would count (2,) once for p = q = 0.
+    assert sign_induction_multiplicity((2,), 0, 0) == 0
+    assert sign_induction_multiplicity((3, 1), 1, 1) == 0
+
+
 def test_hermitian_direct_count_matches_module_multiplicity():
     for n in range(1, 11):
         for orbit in all_diagrams(n):
@@ -105,18 +157,21 @@ def test_cell_components_differ():
 
 def test_count_builds_no_module(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("count_unipotent built a module")
+        raise AssertionError("count_unipotent built a module or enumerated")
 
     block_multiplicity.cache_clear()
     sign_induction_multiplicity.cache_clear()
-    weylmodules._remove_vertical_strips.cache_clear()
     monkeypatch.setattr(weylmodules.ModuleDecomp, "__init__", refuse)
     monkeypatch.setattr(weylmodules, "_built", refuse)
+    for name in ("_gl_r_params", "_split_by_twist", "_sl_r_params"):
+        monkeypatch.setattr(unipotent, name, refuse)
     for orbit in all_diagrams(13):
         for p in (0, 6, 13):
             _direct_counts(p, 13 - p, orbit)
         for kind in ("gl-c", "sl-c"):
             count_unipotent(make_group(kind, n=13), OrbitSpec(orbit, orbit))
+        for kind in ("gl-r", "sl-r"):
+            count_unipotent(make_group(kind, n=13), OrbitSpec(orbit))
 
 
 hermitian_queries = st.integers(1, 14).flatmap(

@@ -1,9 +1,12 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unipcount.diagrams import all_diagrams, coset_signature
 from unipcount.errors import DegreeMismatchError, ShapeMismatchError, UnsupportedGroupError
+from unipcount.symreps import irrep_dimension
 from unipcount.weylmodules import (
     ModuleDecomp,
     block_matchings_first,
@@ -15,6 +18,7 @@ from unipcount.weylmodules import (
     diagonal_module,
     matchings_module,
     sign_induction_module,
+    sign_induction_multiplicity,
 )
 
 
@@ -91,6 +95,38 @@ def test_sign_induction_module_small():
     assert sign_induction_module(1, 1) == md((2,), {((2,),): 2, ((1, 1),): 1})
 
 
+def _content_sum(nu):
+    """Sum of j - i over the boxes (i, j) of nu."""
+    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(nu))
+
+
+signatures = st.integers(0, 26).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@settings(deadline=None)
+@given(signatures)
+def test_sign_induction_module_class_values(signature):
+    # Two class values of the induced module, computed without any diagram:
+    # H_k = (S_2 wr S_k) x S_{p-k} x S_{q-k} has index n!/(2^k k! (p-k)! (q-k)!),
+    # which is the dimension. At a transposition, the character of nu is
+    # dim(nu) 2c(nu)/(n(n-1)) with c the content sum, and the induced
+    # character is the index times the inducing character summed over the
+    # transpositions of H_k, over all C(n, 2) of them: +1 for each of the k
+    # pair swaps, -1 for each transposition of S_{p-k} or S_{q-k}. Both
+    # sides below are that value times C(n, 2).
+    p, n = signature
+    q = n - p
+    module = sign_induction_module(p, q)
+    index = [
+        factorial(n) // (2**k * factorial(k) * factorial(p - k) * factorial(q - k))
+        for k in range(min(p, q) + 1)
+    ]
+    assert module.dimension() == sum(index)
+    assert sum(
+        m * irrep_dimension(nu) * _content_sum(nu) for (nu,), m in module.mults.items()
+    ) == sum(h * (k - comb(p - k, 2) - comb(q - k, 2)) for k, h in enumerate(index))
+
+
 def test_diagonal_module_small():
     assert diagonal_module(0) == md((0, 0), {((), ()): 1})
     assert diagonal_module(1) == md((1, 1), {((1,), (1,)): 1})
@@ -162,6 +198,8 @@ def test_coh_u_cover_degree_mismatch():
         (coh_u_cover, (3, -1, (2, 0))),
         (block_matchings_first, (-1, 3, 0)),
         (block_matchings_second, (3, -1, 0)),
+        (sign_induction_multiplicity, ((2,), -1, 3)),
+        (sign_induction_multiplicity, ((1, 1, 1), 5, -2)),
     ],
 )
 def test_builders_reject_negative_signature(build, args):
