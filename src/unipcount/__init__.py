@@ -15,7 +15,6 @@ from .diagrams import (
     all_diagrams,
     coset_signature,
     even_odd_split,
-    infinitesimal_character,
     make_diagram,
     parse_orbit,
     row_profile,
@@ -27,36 +26,25 @@ from .errors import (
     EngineError,
     InvalidPartitionError,
     OracleBoundError,
-    ParameterRangeError,
     ShapeMismatchError,
     UnsupportedGroupError,
 )
 from .symreps import (
     ClassFunction,
     character_table,
-    character_value,
     inner_product,
     irrep_dimension,
-    lr_coefficient,
 )
 from .unipotent import (
     GroupKind,
     GroupSpec,
-    InducedRepDescriptor,
     OrbitSpec,
-    SLRParam,
-    TwistSplit,
     cell_rep,
     coherent_module,
     count_record,
     count_unipotent,
     enumeration_record,
-    gl_r_params,
     make_group,
-    sign_twist,
-    sl_r_enumerate,
-    split_by_twist,
-    verify_counting_equality,
 )
 from .weylmodules import (
     ModuleDecomp,

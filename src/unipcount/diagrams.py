@@ -1,12 +1,11 @@
 """Partitions viewed as Young diagrams, and the orbit-level combinatorics
-built on them: transpose, row profiles, parity splits, and the
-infinitesimal-character data attached to a nilpotent orbit.
+built on them: transpose, row profiles, parity splits, and the coset
+signature attached to a nilpotent orbit.
 
 All values are immutable; a diagram is a weakly decreasing tuple of positive
 row lengths, with () the empty diagram.
 """
 
-from fractions import Fraction
 from functools import cache
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
@@ -69,10 +68,6 @@ class RowProfile(NamedTuple):
     lengths: tuple[int, ...]
     mults: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.lengths)
-
 
 def row_profile(d: Diagram) -> RowProfile:
     """Distinct row lengths of d, strictly decreasing, with multiplicities."""
@@ -111,20 +106,6 @@ def coset_signature(d: Diagram) -> CosetSignature:
     """(total size of the even rows, total size of the odd rows)."""
     even, odd = even_odd_split(d)
     return CosetSignature(sum(even), sum(odd))
-
-
-def infinitesimal_character(d: Diagram) -> tuple[Fraction, ...]:
-    """Representative weight vector for the orbit's coset.
-
-    Concatenates, over each row of length r, the string
-    ((r-1)/2, (r-3)/2, ..., -(r-1)/2) and sorts weakly decreasing. Even rows
-    contribute half-integral coordinates, so the number of non-integral
-    entries equals coset_signature(d).n_h.
-    """
-    coords: list[Fraction] = []
-    for r in d:
-        coords.extend(Fraction(r - 1 - 2 * i, 2) for i in range(r))
-    return tuple(sorted(coords, reverse=True))
 
 
 def parse_orbit(text: str) -> Diagram:

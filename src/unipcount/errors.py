@@ -17,10 +17,6 @@ class ShapeMismatchError(EngineError):
     """A module operand or key disagrees with the expected factor shape."""
 
 
-class ParameterRangeError(EngineError):
-    """A sign-count tuple falls outside its parameter box."""
-
-
 class UnsupportedGroupError(EngineError):
     """The requested group kind has no implemented classification."""
 

@@ -1,7 +1,9 @@
 """Brute-force verifiers, deliberately independent of the closed forms and
 recursions they certify: fixed-point counts on explicit matchings, the
-induced-character fusion formula, orthogonality sweeps, and exhaustive
-parameter enumeration.
+induced-character fusion formula with inner-product decompositions,
+Littlewood-Richardson coefficients by lattice-word tableaux, orthogonality
+sweeps, exhaustive parameter enumeration, and the SU(p, q) against
+double-cover counting equality.
 
 Oracle bounds are conservative defaults; exceeding one raises instead of
 approximating.
@@ -9,14 +11,17 @@ approximating.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial, prod
 from typing import Iterator, Sequence
 
+from . import unipotent, weylmodules
 from .diagrams import (
     Diagram,
     RowProfile,
     all_diagrams,
+    check_diagram,
     coset_signature,
     diagram_text,
     even_odd_split,
@@ -30,9 +35,7 @@ from .symreps import (
     centralizer_order,
     character_table,
     inner_product,
-    irreducible_character,
     irrep_dimension,
-    lr_coefficient,
 )
 
 MATCHINGS_BOUND = 4
@@ -66,6 +69,14 @@ def class_representative(cls: Diagram) -> dict[int, int]:
             perm[x] = cycle[(i + 1) % part]
         start += part
     return perm
+
+
+@cache
+def irreducible_character(label: Diagram) -> ClassFunction:
+    """The irreducible character as a class function, built once per label.
+    Callers share the result and must not mutate its values."""
+    label = check_diagram(label)
+    return ClassFunction(sum(label), dict(character_table(sum(label))[label]))
 
 
 def matchings_character(r: int, bound: int = MATCHINGS_BOUND) -> ClassFunction:
@@ -162,6 +173,57 @@ def induced_character(
     return ClassFunction(n, values)
 
 
+def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
+    """Littlewood-Richardson coefficient of nu in the product of lam and mu.
+
+    Counts column-strict skew tableaux of shape nu/lam and content mu whose
+    reverse reading word is a lattice word. The target size must match.
+    """
+    lam, mu, nu = check_diagram(lam), check_diagram(mu), check_diagram(nu)
+    if sum(nu) != sum(lam) + sum(mu):
+        raise DegreeMismatchError(
+            f"target size {sum(nu)} differs from {sum(lam)} + {sum(mu)}"
+        )
+    return _lr(lam, mu, nu)
+
+
+@cache
+def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
+    nrows = len(nu)
+    if len(lam) > nrows or any(lam[i] > nu[i] for i in range(len(lam))):
+        return 0
+    inner = tuple(lam[i] if i < len(lam) else 0 for i in range(nrows))
+    # Reverse reading order: rows top to bottom, cells right to left. Both
+    # neighbors that constrain a cell are then already filled, and the
+    # lattice condition can be checked prefix by prefix.
+    cells = [(i, j) for i in range(nrows) for j in range(nu[i] - 1, inner[i] - 1, -1)]
+    nvals = len(mu)
+    counts = [0] * nvals
+    filling: dict[tuple[int, int], int] = {}
+
+    def fill(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        lo = 1
+        if i > 0 and j >= inner[i - 1]:
+            lo = filling[i - 1, j] + 1
+        hi = filling[i, j + 1] if j + 1 < nu[i] else nvals
+        total = 0
+        for v in range(lo, hi + 1):
+            if counts[v - 1] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v - 2] <= counts[v - 1]:
+                continue
+            counts[v - 1] += 1
+            filling[i, j] = v
+            total += fill(idx + 1)
+            counts[v - 1] -= 1
+        return total
+
+    return fill(0)
+
+
 def decompose(cf: ClassFunction) -> dict[Diagram, int]:
     """Multiplicity of every irreducible in a class function, by inner
     products; multiplicities must come out integral."""
@@ -208,6 +270,22 @@ def parameter_tuples(profile: RowProfile) -> tuple[tuple[int, ...], ...]:
     return tuple(product(*(range(m + 1) for m in profile.mults)))
 
 
+def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
+    """Whether the SU(p, q) count and the double-cover count agree at the
+    orbit: the cell multiplicities in the two built modules, and the direct
+    counts of both groups."""
+    su = unipotent.make_group(unipotent.GroupKind.SU, p=p, q=q)
+    cover = unipotent.make_group(unipotent.GroupKind.U_COVER, p=p, q=q)
+    spec = unipotent.OrbitSpec(orbit)
+    cell = unipotent.cell_rep(su, spec)
+    return (
+        unipotent.coherent_module(su, spec).multiplicity(cell)
+        == unipotent.coherent_module(cover, spec).multiplicity(cell)
+        == unipotent.count_unipotent(su, spec)
+        == unipotent.count_unipotent(cover, spec)
+    )
+
+
 def run_checks(max_size: int = 8) -> list[dict]:
     """Cross-validation sweeps over every closed form in the engine.
 
@@ -215,8 +293,6 @@ def run_checks(max_size: int = 8) -> list[dict]:
     check, instance, expected, actual, pass. Instances aggregate the inner
     loops of a sweep; a failing instance reports its first mismatch.
     """
-    from . import unipotent, weylmodules
-
     report: list[dict] = []
 
     def entry(check: str, instance: str, expected, actual) -> None:
@@ -303,10 +379,10 @@ def run_checks(max_size: int = 8) -> list[dict]:
     for n in range(1, max_size + 1):
         bad = []
         for orbit in all_diagrams(n):
-            profile = row_profile(orbit)
-            expected_tuples = parameter_tuples(profile)
-            got = tuple(d.a for d in unipotent.gl_r_params(orbit))
-            if got != expected_tuples:
+            group = unipotent.make_group(unipotent.GroupKind.GL_R, n=n)
+            params = unipotent.enumeration_record(group, unipotent.OrbitSpec(orbit))["params"]
+            got = tuple(tuple(row["a"]) for row in params)
+            if got != parameter_tuples(row_profile(orbit)):
                 bad.append(diagram_text(orbit))
         entry("parameter-enumeration", f"n={n}", "0 mismatches", mismatch_summary(bad))
 
@@ -316,7 +392,9 @@ def run_checks(max_size: int = 8) -> list[dict]:
             mults = row_profile(orbit).mults
             e = 1 if all(m % 2 == 0 for m in mults) else 0
             formula = (prod(m + 1 for m in mults) + 3 * e) // 2
-            if len(unipotent.sl_r_enumerate(orbit)) != formula:
+            group = unipotent.make_group(unipotent.GroupKind.SL_R, n=n)
+            params = unipotent.enumeration_record(group, unipotent.OrbitSpec(orbit))["params"]
+            if len(params) != formula:
                 bad.append(diagram_text(orbit))
         entry("sl-count-formula", f"n={n}", "0 mismatches", mismatch_summary(bad))
 
@@ -333,7 +411,7 @@ def run_checks(max_size: int = 8) -> list[dict]:
         bad = []
         for orbit in all_diagrams(n):
             for p in range(0, n + 1):
-                if not unipotent.verify_counting_equality(p, n - p, orbit):
+                if not verify_counting_equality(p, n - p, orbit):
                     bad.append(f"(p,q)=({p},{n - p}) orbit={diagram_text(orbit)}")
         entry("counting-equality", f"n={n}", "0 mismatches", mismatch_summary(bad))
 

@@ -1,9 +1,9 @@
 """Exact character theory of the symmetric groups.
 
-Character values come from the Murnaghan-Nakayama border-strip recursion,
-dimensions from the hook-length formula, and Littlewood-Richardson
-coefficients from a count of lattice-word tableaux. Everything is integer
-arithmetic; rationals appear only transiently inside inner products.
+Character tables come from the Murnaghan-Nakayama border-strip recursion,
+optionally cached on disk, and dimensions from the hook-length formula.
+Everything is integer arithmetic; rationals appear only transiently inside
+the class-function inner products that the oracles use.
 
 Irreducible representations of S_n are labeled by diagrams of size n, with
 the one-row diagram the trivial representation and the one-column diagram
@@ -24,15 +24,6 @@ from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transp
 from .errors import DegreeMismatchError
 
 IrrepLabel = Diagram
-
-
-@cache
-def centralizer_order(cls: Diagram) -> int:
-    """Order of the centralizer of a permutation with cycle type cls."""
-    z = 1
-    for part, count in Counter(cls).items():
-        z *= part**count * factorial(count)
-    return z
 
 
 def _strip_removals(label: Diagram, length: int) -> Iterator[tuple[Diagram, int]]:
@@ -63,17 +54,6 @@ def _mn(label: Diagram, cls: Diagram) -> int:
     return sum((-1) ** h * _mn(smaller, rest) for smaller, h in _strip_removals(label, length))
 
 
-def character_value(label: IrrepLabel, cls: Diagram) -> int:
-    """Value of the irreducible character labeled by label at cycle type cls."""
-    label = check_diagram(label)
-    cls = check_diagram(cls)
-    if sum(label) != sum(cls):
-        raise DegreeMismatchError(
-            f"label degree {sum(label)} differs from class degree {sum(cls)}"
-        )
-    return _mn(label, cls)
-
-
 @cache
 def irrep_dimension(label: IrrepLabel) -> int:
     """Dimension of the irreducible, by the hook-length formula."""
@@ -85,6 +65,16 @@ def irrep_dimension(label: IrrepLabel) -> int:
         for j in range(label[i])
     )
     return factorial(n) // hooks
+
+
+# Oracle-only; kept here because bench/spans.py wraps these names in symreps.
+@cache
+def centralizer_order(cls: Diagram) -> int:
+    """Order of the centralizer of a permutation with cycle type cls."""
+    z = 1
+    for part, count in Counter(cls).items():
+        z *= part**count * factorial(count)
+    return z
 
 
 @dataclass(frozen=True)
@@ -107,14 +97,6 @@ class ClassFunction:
         return self.values[cls]
 
 
-@cache
-def irreducible_character(label: IrrepLabel) -> ClassFunction:
-    """The irreducible character as a class function, built once per label.
-    Callers share the result and must not mutate its values."""
-    label = check_diagram(label)
-    return ClassFunction(sum(label), dict(character_table(sum(label))[label]))
-
-
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     """Class-function inner product: (1/n!) sum over classes of size * f * g."""
     if f.degree != g.degree:
@@ -128,57 +110,6 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
         ),
         start=Fraction(0),
     )
-
-
-def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
-    """Littlewood-Richardson coefficient of nu in the product of lam and mu.
-
-    Counts column-strict skew tableaux of shape nu/lam and content mu whose
-    reverse reading word is a lattice word. The target size must match.
-    """
-    lam, mu, nu = check_diagram(lam), check_diagram(mu), check_diagram(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        raise DegreeMismatchError(
-            f"target size {sum(nu)} differs from {sum(lam)} + {sum(mu)}"
-        )
-    return _lr(lam, mu, nu)
-
-
-@cache
-def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
-    nrows = len(nu)
-    if len(lam) > nrows or any(lam[i] > nu[i] for i in range(len(lam))):
-        return 0
-    inner = tuple(lam[i] if i < len(lam) else 0 for i in range(nrows))
-    # Reverse reading order: rows top to bottom, cells right to left. Both
-    # neighbors that constrain a cell are then already filled, and the
-    # lattice condition can be checked prefix by prefix.
-    cells = [(i, j) for i in range(nrows) for j in range(nu[i] - 1, inner[i] - 1, -1)]
-    nvals = len(mu)
-    counts = [0] * nvals
-    filling: dict[tuple[int, int], int] = {}
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        lo = 1
-        if i > 0 and j >= inner[i - 1]:
-            lo = filling[i - 1, j] + 1
-        hi = filling[i, j + 1] if j + 1 < nu[i] else nvals
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 2] <= counts[v - 1]:
-                continue
-            counts[v - 1] += 1
-            filling[i, j] = v
-            total += fill(idx + 1)
-            counts[v - 1] -= 1
-        return total
-
-    return fill(0)
 
 
 # Per-degree memo. Builds are pure and idempotent, so a race between two

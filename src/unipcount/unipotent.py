@@ -5,9 +5,10 @@ based counts of special unipotent representations for all supported kinds.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product
 from math import prod
-from typing import NamedTuple
+from typing import Iterator
 
 from .diagrams import (
     Diagram,
@@ -18,7 +19,7 @@ from .diagrams import (
     row_profile,
     transpose,
 )
-from .errors import DegreeMismatchError, ParameterRangeError, UnsupportedGroupError
+from .errors import DegreeMismatchError, UnsupportedGroupError
 from .weylmodules import (
     ModuleDecomp,
     block_multiplicity,
@@ -130,6 +131,9 @@ def _check_orbit(group: GroupSpec, orbit: OrbitSpec) -> None:
             )
 
 
+# Cached: the cell depends only on the orbit, and a sweep counts each orbit
+# at every (p, q).
+@cache
 def _cell(orbit: Diagram) -> tuple[Diagram, Diagram]:
     even, odd = even_odd_split(orbit)
     return transpose(even), transpose(odd)
@@ -167,112 +171,28 @@ def coherent_module(group: GroupSpec, orbit: OrbitSpec) -> ModuleDecomp:
     return build(group.p, group.q, sig)
 
 
-CHAR_TRIVIAL = "trivial"
-CHAR_SIGN = "sign"
+def _real_params(
+    kind: GroupKind, profile: RowProfile
+) -> Iterator[tuple[tuple[int, ...], str | None]]:
+    """The induced parameters of gl-r or sl-r at an orbit with this row
+    profile, as (sign counts a, sign), with a in lexicographic order.
 
-
-@dataclass(frozen=True)
-class InducedRepDescriptor:
-    """Blocks of an induced parameter, grouped by size with trivial blocks
-    before sign blocks, together with the sign-count tuple that produced
-    them."""
-
-    blocks: tuple[tuple[int, str], ...]
-    a: tuple[int, ...]
-
-
-def _descriptor(profile: RowProfile, a: tuple[int, ...]) -> InducedRepDescriptor:
-    blocks: list[tuple[int, str]] = []
-    for length, mult, signs in zip(profile.lengths, profile.mults, a):
-        blocks.extend((length, CHAR_TRIVIAL) for _ in range(mult - signs))
-        blocks.extend((length, CHAR_SIGN) for _ in range(signs))
-    return InducedRepDescriptor(tuple(blocks), tuple(a))
-
-
-def gl_r_params(orbit: Diagram) -> tuple[InducedRepDescriptor, ...]:
-    """All induced parameters for the real general linear group at the orbit:
-    one descriptor per sign-count tuple, in lexicographic order. There are
-    prod(m_l + 1) of them."""
-    return _gl_r_params(row_profile(check_diagram(orbit)))
-
-
-def _gl_r_params(profile: RowProfile) -> tuple[InducedRepDescriptor, ...]:
-    return tuple(
-        _descriptor(profile, a)
-        for a in product(*(range(m + 1) for m in profile.mults))
-    )
-
-
-def sign_twist(a: tuple[int, ...], profile: RowProfile) -> tuple[int, ...]:
-    """Effect of tensoring with the order-two character: a goes to m - a."""
-    a = tuple(int(x) for x in a)
-    if len(a) != profile.k or any(x < 0 or x > m for x, m in zip(a, profile.mults)):
-        raise ParameterRangeError(
-            f"sign counts {a} out of range for multiplicities {profile.mults}"
-        )
-    return tuple(m - x for x, m in zip(a, profile.mults))
-
-
-class TwistSplit(NamedTuple):
-    plus: tuple[tuple[int, ...], ...]
-    minus: tuple[tuple[int, ...], ...]
-    zero: tuple[tuple[int, ...], ...]
-
-
-def split_by_twist(orbit: Diagram) -> TwistSplit:
-    """Partition of the sign-count tuples under the twist a -> m - a.
-
-    plus holds the tuples with 2a < m lexicographically, zero the fixed
-    points 2a = m (one tuple when every multiplicity is even, none
-    otherwise), and minus the twist of plus.
+    gl-r has one parameter per tuple 0 <= a <= m, sign None. For sl-r the
+    twist a -> m - a pairs each tuple with 2a < m (lexicographically) with
+    one with 2a > m; each pair restricts to one parameter, listed at its
+    2a < m member. The fixed point 2a = m, present exactly when every
+    multiplicity is even, splits into the signed pair '+', '-'. It comes
+    after every 2a < m tuple and before every 2a > m one, so the signed pair
+    is listed last.
     """
-    return _split_by_twist(row_profile(check_diagram(orbit)))
-
-
-def _split_by_twist(profile: RowProfile) -> TwistSplit:
     m = profile.mults
-    plus: list[tuple[int, ...]] = []
-    minus: list[tuple[int, ...]] = []
-    zero: list[tuple[int, ...]] = []
     for a in product(*(range(x + 1) for x in m)):
         doubled = tuple(2 * x for x in a)
-        if doubled < m:
-            plus.append(a)
+        if kind is GroupKind.GL_R or doubled < m:
+            yield a, None
         elif doubled == m:
-            zero.append(a)
-        else:
-            minus.append(a)
-    return TwistSplit(tuple(plus), tuple(minus), tuple(zero))
-
-
-@dataclass(frozen=True)
-class SLRParam:
-    """A special-linear parameter: the restriction of a descriptor from the
-    plus half (sign None), or one member of the split pair at a twist-fixed
-    descriptor (sign '+' or '-')."""
-
-    descriptor: InducedRepDescriptor
-    sign: str | None = None
-
-
-def sl_r_enumerate(orbit: Diagram) -> tuple[SLRParam, ...]:
-    """Parameters for the real special linear group at the orbit: one
-    restricted parameter per plus tuple, and a pair of signed parameters at
-    the twist-fixed tuple when present."""
-    orbit = check_diagram(orbit)
-    if sum(orbit) < 2:
-        raise UnsupportedGroupError("special linear enumeration requires n >= 2")
-    return _sl_r_params(row_profile(orbit))
-
-
-def _sl_r_params(profile: RowProfile) -> tuple[SLRParam, ...]:
-    split = _split_by_twist(profile)
-    params = [SLRParam(_descriptor(profile, a)) for a in split.plus]
-    for a in split.zero:
-        fixed = _descriptor(profile, a)
-        params.append(SLRParam(fixed, "+"))
-        params.append(SLRParam(fixed, "-"))
-    return tuple(params)
+            yield a, "+"
+            yield a, "-"
 
 
 def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
@@ -336,22 +256,6 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     return block_multiplicity(p, q, n_h, a, b) + block_multiplicity(p, q, n_0, b, a)
 
 
-def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
-    """Whether the SU(p, q) count and the double-cover count agree at the
-    orbit: the cell multiplicities in the two built modules, and the direct
-    counts of both groups."""
-    su = make_group(GroupKind.SU, p=p, q=q)
-    cover = make_group(GroupKind.U_COVER, p=p, q=q)
-    spec = OrbitSpec(orbit)
-    cell = cell_rep(su, spec)
-    return (
-        coherent_module(su, spec).multiplicity(cell)
-        == coherent_module(cover, spec).multiplicity(cell)
-        == count_unipotent(su, spec)
-        == count_unipotent(cover, spec)
-    )
-
-
 def group_record(group: GroupSpec) -> dict:
     rec: dict = {"kind": group.kind.value, "n": group.n}
     if group.kind in HERMITIAN_KINDS:
@@ -381,24 +285,22 @@ def count_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
 
 
 def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
-    """JSON-ready record of an enumeration query (real kinds only)."""
+    """JSON-ready record of an enumeration query (real kinds only). Each row
+    holds the sign counts a, and the blocks of its induced parameter grouped
+    by row length: m - a trivial blocks, then a sign blocks."""
     if group.kind not in ENUMERATED_KINDS:
         raise UnsupportedGroupError(
             f"explicit enumeration is only available for gl-r and sl-r, not {group.kind.value}"
         )
     _check_orbit(group, orbit)
     profile = row_profile(orbit.first)
-    if group.kind is GroupKind.GL_R:
-        params = [(desc, None) for desc in _gl_r_params(profile)]
-    else:
-        params = [(param.descriptor, param.sign) for param in _sl_r_params(profile)]
     rows = []
-    for index, (desc, sign) in enumerate(params):
-        row = {
-            "index": index,
-            "blocks": [[size, tag] for size, tag in desc.blocks],
-            "a": list(desc.a),
-        }
+    for index, (a, sign) in enumerate(_real_params(group.kind, profile)):
+        blocks = []
+        for length, mult, signs in zip(profile.lengths, profile.mults, a):
+            blocks.extend([length, "trivial"] for _ in range(mult - signs))
+            blocks.extend([length, "sign"] for _ in range(signs))
+        row = {"index": index, "blocks": blocks, "a": list(a)}
         if group.kind is GroupKind.SL_R:
             row["sign"] = sign
         rows.append(row)

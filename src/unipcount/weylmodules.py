@@ -76,10 +76,6 @@ class ModuleDecomp:
         """Entries with keys in decreasing lexicographic order."""
         return tuple((key, self.mults[key]) for key in sorted(self.mults, reverse=True))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.mults
-
     def __add__(self, other: "ModuleDecomp") -> "ModuleDecomp":
         if not isinstance(other, ModuleDecomp):
             return NotImplemented

@@ -14,26 +14,21 @@ from unipcount.diagrams import all_diagrams, coset_signature, row_profile
 from unipcount.oracle import (
     decompose,
     induced_character,
+    irreducible_character,
+    lr_coefficient,
     matchings_character,
     orthogonality_check,
     parameter_tuples,
+    verify_counting_equality,
 )
-from unipcount.symreps import (
-    character_table,
-    inner_product,
-    irreducible_character,
-    irrep_dimension,
-    lr_coefficient,
-)
+from unipcount.symreps import character_table, inner_product, irrep_dimension
 from unipcount.unipotent import (
     GroupKind,
     OrbitSpec,
     cell_rep,
     count_unipotent,
-    gl_r_params,
+    enumeration_record,
     make_group,
-    sl_r_enumerate,
-    verify_counting_equality,
 )
 from unipcount.weylmodules import (
     coh_gl_complex,
@@ -87,22 +82,30 @@ def test_criterion_2_complex_kinds_singleton_or_empty():
 def test_criterion_3_real_kind_counts_match_oracle():
     failures = []
     for n in range(1, 13):
+        gl_r = make_group("gl-r", n=n)
         for orbit in all_diagrams(n):
             profile = row_profile(orbit)
             mults = profile.mults
-            descriptors = gl_r_params(orbit)
-            if len(descriptors) != prod(m + 1 for m in mults):
+            spec = OrbitSpec(orbit)
+            params = enumeration_record(gl_r, spec)["params"]
+            if len(params) != prod(m + 1 for m in mults):
                 failures.append(("gl-count", orbit))
-            if tuple(d.a for d in descriptors) != parameter_tuples(profile):
+            if tuple(tuple(row["a"]) for row in params) != parameter_tuples(profile):
                 failures.append(("gl-order", orbit))
+            if count_unipotent(gl_r, spec) != len(params):
+                failures.append(("gl-listing", orbit))
             if n >= 2:
                 e = 1 if all(m % 2 == 0 for m in mults) else 0
                 expected = (prod(m + 1 for m in mults) + 3 * e) // 2
-                if len(sl_r_enumerate(orbit)) != expected:
+                sl_r = make_group("sl-r", n=n)
+                listed = len(enumeration_record(sl_r, spec)["params"])
+                if listed != expected:
                     failures.append(("sl-count", orbit))
+                if count_unipotent(sl_r, spec) != listed:
+                    failures.append(("sl-listing", orbit))
     _report(
-        "criterion 3: gl-r and sl-r parameter counts match the closed formulas and "
-        "the brute-force enumeration, sizes <= 12",
+        "criterion 3: gl-r and sl-r parameter counts match the closed formulas, "
+        "the brute-force enumeration and the listed parameters, sizes <= 12",
         not failures,
     )
 

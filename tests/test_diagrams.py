@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from unipcount.diagrams import (
     coset_signature,
     even_odd_split,
     format_diagram,
-    infinitesimal_character,
     make_diagram,
     parse_orbit,
     row_profile,
@@ -63,7 +60,6 @@ def test_row_profile_examples(d, lengths, mults):
     profile = row_profile(d)
     assert profile.lengths == lengths
     assert profile.mults == mults
-    assert profile.k == len(lengths)
 
 
 @pytest.mark.parametrize(
@@ -122,27 +118,6 @@ def test_even_parts_iff_transpose_even_multiplicities():
 )
 def test_coset_signature_examples(d, expected):
     assert coset_signature(d) == expected
-
-
-@pytest.mark.parametrize(
-    "d,expected",
-    [
-        ((2, 1), (Fraction(1, 2), Fraction(0), Fraction(-1, 2))),
-        ((1, 1), (Fraction(0), Fraction(0))),
-        ((3,), (Fraction(1), Fraction(0), Fraction(-1))),
-    ],
-)
-def test_infinitesimal_character_examples(d, expected):
-    assert infinitesimal_character(d) == expected
-
-
-def test_infinitesimal_character_half_integral_count():
-    for d in diagrams_up_to(10):
-        coords = infinitesimal_character(d)
-        half = sum(1 for c in coords if c.denominator == 2)
-        assert half == coset_signature(d).n_h
-        assert len(coords) == sum(d)
-        assert tuple(sorted(coords, reverse=True)) == coords
 
 
 def test_all_diagrams_order_and_count():

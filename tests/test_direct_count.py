@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from unipcount import unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
-from unipcount.symreps import lr_coefficient
+from unipcount.oracle import lr_coefficient
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
     block_multiplicity,
@@ -163,8 +163,7 @@ def test_count_builds_no_module(monkeypatch):
     sign_induction_multiplicity.cache_clear()
     monkeypatch.setattr(weylmodules.ModuleDecomp, "__init__", refuse)
     monkeypatch.setattr(weylmodules, "_built", refuse)
-    for name in ("_gl_r_params", "_split_by_twist", "_sl_r_params"):
-        monkeypatch.setattr(unipotent, name, refuse)
+    monkeypatch.setattr(unipotent, "_real_params", refuse)
     for orbit in all_diagrams(13):
         for p in (0, 6, 13):
             _direct_counts(p, 13 - p, orbit)

@@ -7,19 +7,15 @@ from unipcount.oracle import (
     class_representative,
     decompose,
     induced_character,
+    irreducible_character,
+    lr_coefficient,
     matchings_character,
     orthogonality_check,
     parameter_tuples,
     run_checks,
 )
-from unipcount.symreps import (
-    ClassFunction,
-    character_table,
-    inner_product,
-    irreducible_character,
-    lr_coefficient,
-)
-from unipcount.unipotent import gl_r_params
+from unipcount.symreps import ClassFunction, character_table, inner_product
+from unipcount.unipotent import OrbitSpec, enumeration_record, make_group
 from unipcount.weylmodules import matchings_module
 
 
@@ -146,7 +142,8 @@ def test_parameter_tuples_match_engine_order():
     for n in range(1, 9):
         for orbit in all_diagrams(n):
             expected = parameter_tuples(row_profile(orbit))
-            assert tuple(d.a for d in gl_r_params(orbit)) == expected
+            rows = enumeration_record(make_group("gl-r", n=n), OrbitSpec(orbit))["params"]
+            assert tuple(tuple(row["a"]) for row in rows) == expected
 
 
 def test_sign_induction_module_matches_induced_oracle():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import prod
 
 import pytest
@@ -9,9 +11,9 @@ from unipcount.diagrams import all_diagrams, make_diagram, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
     InvalidPartitionError,
-    ParameterRangeError,
     UnsupportedGroupError,
 )
+from unipcount.oracle import verify_counting_equality
 from unipcount.unipotent import (
     GroupKind,
     OrbitSpec,
@@ -19,15 +21,20 @@ from unipcount.unipotent import (
     count_record,
     count_unipotent,
     enumeration_record,
-    gl_r_params,
     make_group,
-    sign_twist,
-    sl_r_enumerate,
-    split_by_twist,
-    verify_counting_equality,
 )
 
 diagrams_up_to = lambda n: [d for m in range(1, n + 1) for d in all_diagrams(m)]
+
+
+def _params(kind, orbit):
+    """(a, sign) of every enumerated parameter; the sign is None for gl-r."""
+    rec = enumeration_record(make_group(kind, n=sum(orbit)), OrbitSpec(orbit))
+    return [(tuple(row["a"]), row.get("sign")) for row in rec["params"]]
+
+
+def _twist(a, mults):
+    return tuple(m - x for x, m in zip(a, mults))
 
 
 def test_make_group_validation():
@@ -74,81 +81,72 @@ def test_cell_rep_kind_and_shape_errors():
 
 
 def test_gl_r_params_counts():
-    assert len(gl_r_params((3, 3, 1))) == 6
-    assert len(gl_r_params((4,))) == 2
-    assert len(gl_r_params((2, 2))) == 3
+    assert len(_params("gl-r", (3, 3, 1))) == 6
+    assert len(_params("gl-r", (4,))) == 2
+    assert len(_params("gl-r", (2, 2))) == 3
 
 
 def test_gl_r_params_structure():
-    descs = gl_r_params((3, 1))
-    assert [d.a for d in descs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert descs[2].blocks == ((3, "sign"), (1, "trivial"))
+    rows = enumeration_record(make_group("gl-r", n=4), OrbitSpec((3, 1)))["params"]
+    assert [row["a"] for row in rows] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert rows[2]["blocks"] == [[3, "sign"], [1, "trivial"]]
     # trivial blocks come before sign blocks within a length
-    mixed = gl_r_params((3, 3, 1))[3]
-    assert mixed.a == (1, 1)
-    assert mixed.blocks == ((3, "trivial"), (3, "sign"), (1, "sign"))
+    mixed = enumeration_record(make_group("gl-r", n=7), OrbitSpec((3, 3, 1)))["params"][3]
+    assert mixed["a"] == [1, 1]
+    assert mixed["blocks"] == [[3, "trivial"], [3, "sign"], [1, "sign"]]
 
 
 def test_sign_twist_involution_and_fixed_points():
+    # The twist a -> m - a maps the gl-r box onto itself, and fixes exactly
+    # the tuple that sl-r splits into a signed pair.
     for orbit in diagrams_up_to(8):
-        profile = row_profile(orbit)
-        for desc in gl_r_params(orbit):
-            twisted = sign_twist(desc.a, profile)
-            assert sign_twist(twisted, profile) == desc.a
-            fixed = twisted == desc.a
-            assert fixed == all(2 * x == m for x, m in zip(desc.a, profile.mults))
-
-
-def test_sign_twist_extremes_and_range_error():
-    profile = row_profile((3, 3, 1))
-    assert sign_twist((2, 1), profile) == (0, 0)
-    with pytest.raises(ParameterRangeError):
-        sign_twist((3, 0), profile)
-    with pytest.raises(ParameterRangeError):
-        sign_twist((0,), profile)
+        mults = row_profile(orbit).mults
+        box = [a for a, _ in _params("gl-r", orbit)]
+        assert sorted(_twist(a, mults) for a in box) == box
+        fixed = [a for a in box if _twist(a, mults) == a]
+        if sum(orbit) >= 2:
+            assert fixed == [a for a, sign in _params("sl-r", orbit) if sign == "+"]
 
 
 def test_split_by_twist_examples():
-    split = split_by_twist((2, 2))
-    assert split.plus == ((0,),)
-    assert split.zero == ((1,),)
-    assert split.minus == ((2,),)
-    split = split_by_twist((3, 1))
-    assert split.plus == ((0, 0), (0, 1))
-    assert split.zero == ()
-    assert set(split.minus) == {(1, 1), (1, 0)}
+    assert _params("sl-r", (2, 2)) == [((0,), None), ((1,), "+"), ((1,), "-")]
+    assert _params("sl-r", (3, 1)) == [((0, 0), None), ((0, 1), None)]
 
 
 def test_split_zero_set_iff_all_multiplicities_even():
     for orbit in diagrams_up_to(10):
+        if sum(orbit) < 2:
+            continue
         mults = row_profile(orbit).mults
-        zero = split_by_twist(orbit).zero
+        params = _params("sl-r", orbit)
+        signed = [(a, sign) for a, sign in params if sign is not None]
         if all(m % 2 == 0 for m in mults):
-            assert zero == (tuple(m // 2 for m in mults),)
+            half = tuple(m // 2 for m in mults)
+            assert signed == params[-2:] == [(half, "+"), (half, "-")]
         else:
-            assert zero == ()
+            assert signed == []
 
 
 def test_split_partitions_parameter_box():
+    # The unsigned sl-r tuples, their twists and the signed fixed point
+    # partition the gl-r box.
     for orbit in diagrams_up_to(10):
-        profile = row_profile(orbit)
-        split = split_by_twist(orbit)
-        assert len(split.plus) == len(split.minus)
-        combined = set(split.plus) | set(split.minus) | set(split.zero)
-        assert len(combined) == prod(m + 1 for m in profile.mults)
-        assert set(split.minus) == {
-            sign_twist(a, profile) for a in split.plus
-        }
+        if sum(orbit) < 2:
+            continue
+        mults = row_profile(orbit).mults
+        params = _params("sl-r", orbit)
+        plus = [a for a, sign in params if sign is None]
+        minus = [_twist(a, mults) for a in plus]
+        zero = sorted({a for a, sign in params if sign is not None})
+        parts = plus + minus + zero
+        assert len(set(parts)) == len(parts)
+        assert sorted(parts) == [a for a, _ in _params("gl-r", orbit)]
 
 
 def test_sl_r_enumerate_examples():
-    params = sl_r_enumerate((2, 2))
-    assert len(params) == 3
-    assert [p.sign for p in params] == [None, "+", "-"]
-    assert len(sl_r_enumerate((3, 1))) == 2
-    assert len(sl_r_enumerate((1, 1))) == 3
-    with pytest.raises(UnsupportedGroupError):
-        sl_r_enumerate((1,))
+    assert [sign for _, sign in _params("sl-r", (2, 2))] == [None, "+", "-"]
+    assert len(_params("sl-r", (3, 1))) == 2
+    assert len(_params("sl-r", (1, 1))) == 3
 
 
 def test_sl_r_count_formula():
@@ -157,18 +155,32 @@ def test_sl_r_count_formula():
             continue
         mults = row_profile(orbit).mults
         e = 1 if all(m % 2 == 0 for m in mults) else 0
-        assert len(sl_r_enumerate(orbit)) == (prod(m + 1 for m in mults) + 3 * e) // 2
+        assert len(_params("sl-r", orbit)) == (prod(m + 1 for m in mults) + 3 * e) // 2
 
 
 @given(st.lists(st.integers(1, 8), min_size=2, max_size=8))
 def test_sl_r_signed_pairs_only_at_fixed_points(parts):
     orbit = make_diagram(parts)
-    profile = row_profile(orbit)
-    for param in sl_r_enumerate(orbit):
-        if param.sign is None:
-            assert sign_twist(param.descriptor.a, profile) != param.descriptor.a
+    mults = row_profile(orbit).mults
+    for a, sign in _params("sl-r", orbit):
+        doubled = tuple(2 * x for x in a)
+        if sign is None:
+            assert doubled < mults
         else:
-            assert sign_twist(param.descriptor.a, profile) == param.descriptor.a
+            assert doubled == mults
+
+
+def test_enumerate_bytes_are_pinned():
+    # Every enumeration record with n <= 10: gl-r, and sl-r from n = 2.
+    records = []
+    for orbit in diagrams_up_to(10):
+        kinds = ("gl-r", "sl-r") if sum(orbit) >= 2 else ("gl-r",)
+        for kind in kinds:
+            rec = enumeration_record(make_group(kind, n=sum(orbit)), OrbitSpec(orbit))
+            records.append(json.dumps(rec))
+    assert len(records) == 275
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "913f75c36f4add109b3ae6c32a00df9b703f215522b260e510c83590f94dddd9"
 
 
 @pytest.mark.parametrize(
@@ -229,6 +241,18 @@ def test_counting_equality_small_sweep():
         for orbit in all_diagrams(n):
             for p in range(0, n + 1):
                 assert verify_counting_equality(p, n - p, orbit)
+
+
+def test_cell_is_computed_once_per_orbit(monkeypatch):
+    calls = []
+    real = unipotent.transpose
+    monkeypatch.setattr(unipotent, "transpose", lambda d: calls.append(d) or real(d))
+    unipotent._cell.cache_clear()
+    orbit = OrbitSpec((4, 3, 2, 1))
+    for p in range(11):
+        for kind in ("su", "u-tilde"):
+            count_unipotent(make_group(kind, p=p, q=10 - p), orbit)
+    assert len(calls) == 2
 
 
 def test_complex_counts_match_remark_small():
