@@ -10,7 +10,6 @@ approximating.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial, prod
@@ -141,11 +140,34 @@ def _counts_to_class(counts: dict[int, int]) -> Diagram:
     return tuple(out)
 
 
+@cache
+def _fusion(
+    sub_degrees: tuple[int, ...],
+) -> tuple[tuple[Diagram, tuple[tuple[int, tuple[Diagram, ...]], ...]], ...]:
+    """For every class of S_n, the (weight, subclasses) terms of the
+    class-fusion formula from the product of the S_d for d in sub_degrees.
+    Each weight z_G(cls) / prod z_H(sc) is the integer index [C_G(h) : C_H(h)]."""
+    table = []
+    for cls in all_diagrams(sum(sub_degrees)):
+        terms = []
+        for split in _class_splits(dict(Counter(cls)), sub_degrees):
+            subclasses = tuple(_counts_to_class(s) for s in split)
+            weight, rem = divmod(
+                centralizer_order(cls),
+                prod(centralizer_order(sc) for sc in subclasses),
+            )
+            assert rem == 0
+            terms.append((weight, subclasses))
+        table.append((cls, tuple(terms)))
+    return tuple(table)
+
+
 def induced_character(
     sub_degrees: Sequence[int], sub_characters: Sequence[ClassFunction]
 ) -> ClassFunction:
     """Character induced to S_n from a product of symmetric subgroups, by the
-    class-fusion formula with centralizer-order weights."""
+    class-fusion formula. Its weights are the integer indices of the subgroup
+    centralizers C_H(h) in C_G(h), taken once per degree tuple."""
     sub_degrees = tuple(int(d) for d in sub_degrees)
     if len(sub_degrees) != len(sub_characters) or not sub_degrees:
         raise DegreeMismatchError("one class function per factor is required")
@@ -154,23 +176,15 @@ def induced_character(
             raise DegreeMismatchError(
                 f"factor degree {d} does not match class function degree {f.degree}"
             )
-    n = sum(sub_degrees)
-    values = {}
-    for cls in all_diagrams(n):
-        counts = dict(Counter(cls))
-        total = Fraction(0)
-        for split in _class_splits(counts, sub_degrees):
-            subclasses = [_counts_to_class(s) for s in split]
-            weight = Fraction(
-                centralizer_order(cls),
-                prod(centralizer_order(sc) for sc in subclasses),
-            )
-            total += weight * prod(
-                f.values[sc] for f, sc in zip(sub_characters, subclasses)
-            )
-        assert total.denominator == 1
-        values[cls] = int(total)
-    return ClassFunction(n, values)
+    subvalues = [f.values for f in sub_characters]
+    values = {
+        cls: sum(
+            weight * prod(v[sc] for v, sc in zip(subvalues, subclasses))
+            for weight, subclasses in terms
+        )
+        for cls, terms in _fusion(sub_degrees)
+    }
+    return ClassFunction(sum(sub_degrees), values)
 
 
 def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
@@ -248,13 +262,12 @@ def orthogonality_check(
     labels = all_diagrams(n)
     if table is None:
         table = character_table(n)
+    nfact = factorial(n)
+    sizes = [(mu, nfact // centralizer_order(mu)) for mu in labels]
     for a in labels:
         for b in labels:
-            got = sum(
-                Fraction(table[a][mu] * table[b][mu], centralizer_order(mu))
-                for mu in labels
-            )
-            if got != (1 if a == b else 0):
+            got = sum(size * table[a][mu] * table[b][mu] for mu, size in sizes)
+            if got != (nfact if a == b else 0):
                 return False
     for mu in labels:
         for nu in labels:

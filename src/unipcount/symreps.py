@@ -2,8 +2,8 @@
 
 Character tables come from the Murnaghan-Nakayama border-strip recursion,
 optionally cached on disk, and dimensions from the hook-length formula.
-Everything is integer arithmetic; rationals appear only transiently inside
-the class-function inner products that the oracles use.
+Everything is integer arithmetic; the only rational is the value that a
+class-function inner product returns, one quotient of an integer sum by n!.
 
 Irreducible representations of S_n are labeled by diagrams of size n, with
 the one-row diagram the trivial representation and the one-column diagram
@@ -97,19 +97,23 @@ class ClassFunction:
         return self.values[cls]
 
 
+@cache
+def _class_sizes(n: int) -> tuple[tuple[Diagram, int], ...]:
+    """(class, n! / z_class) for every conjugacy class of S_n."""
+    nfact = factorial(n)
+    return tuple((mu, nfact // centralizer_order(mu)) for mu in all_diagrams(n))
+
+
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Class-function inner product: (1/n!) sum over classes of size * f * g."""
+    """Class-function inner product: (1/n!) sum over classes of size * f * g,
+    summed in integers and divided once."""
     if f.degree != g.degree:
         raise DegreeMismatchError(
             f"cannot pair class functions of degrees {f.degree} and {g.degree}"
         )
-    return sum(
-        (
-            Fraction(f.values[mu] * g.values[mu], centralizer_order(mu))
-            for mu in all_diagrams(f.degree)
-        ),
-        start=Fraction(0),
-    )
+    fv, gv = f.values, g.values
+    total = sum(size * fv[mu] * gv[mu] for mu, size in _class_sizes(f.degree))
+    return Fraction(total, factorial(f.degree))
 
 
 # Per-degree memo. Builds are pure and idempotent, so a race between two

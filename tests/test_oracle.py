@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from unipcount.diagrams import all_diagrams, row_profile
@@ -89,6 +91,17 @@ def test_frobenius_reciprocity_small():
                         ) == lr_coefficient(lam, mu, nu)
 
 
+def test_induced_trivial_degree_is_multinomial():
+    # at the identity every fusion weight is an index [S_n : S_a x S_b x S_c]
+    for a, b, c in [(1, 1, 1), (2, 1, 0), (3, 2, 1), (2, 2, 2), (4, 1, 3)]:
+        cf = induced_character(
+            (a, b, c),
+            (trivial_character(a), trivial_character(b), trivial_character(c)),
+        )
+        n = a + b + c
+        assert cf((1,) * n) == factorial(n) // (factorial(a) * factorial(b) * factorial(c))
+
+
 def test_induction_additive_in_character():
     f = irreducible_character((2,))
     g = irreducible_character((1, 1))
@@ -153,16 +166,17 @@ def test_sign_induction_module_matches_induced_oracle():
 
     from unipcount.weylmodules import sign_induction_module
 
-    for p in range(0, 4):
-        for q in range(0, 4):
-            if not 0 < p + q <= 6:
+    for p in range(0, 6):
+        for q in range(0, 6):
+            if not 0 < p + q <= 10:
                 continue
             total = Counter()
             for k in range(min(p, q) + 1):
                 cf = induced_character(
                     (2 * k, p - k, q - k),
                     (
-                        matchings_character(k),
+                        # k reaches 5 at p = q = 5, one above MATCHINGS_BOUND
+                        matchings_character(k, bound=5),
                         sign_character(p - k),
                         sign_character(q - k),
                     ),

@@ -136,6 +136,12 @@ def test_inner_products_clear_to_integers():
             assert isinstance(value, Fraction) and value.denominator == 1
 
 
+def test_inner_product_stays_exact_when_it_does_not_clear():
+    # the class-size sum is 2 * 1 * 1 + 1 * 1 * 0 = 1, over 2!
+    half = ClassFunction(2, {(2,): 1, (1, 1): 0})
+    assert inner_product(trivial_character(2), half) == Fraction(1, 2)
+
+
 def test_character_table_disk_cache_roundtrip(tmp_path):
     import unipcount.symreps as symreps
 
