@@ -13,15 +13,16 @@ the sign representation.
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transpose
 from .errors import DegreeMismatchError
+
+if TYPE_CHECKING:
+    import fractions
 
 IrrepLabel = Diagram
 
@@ -77,13 +78,16 @@ def centralizer_order(cls: Diagram) -> int:
     return z
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """Integer-valued function on the conjugacy classes (partitions) of S_n,
-    defined on every class."""
+    defined on every class. Equal by value."""
 
-    degree: int
-    values: dict[Diagram, int]
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree: int, values: dict[Diagram, int]) -> None:
+        self.degree = degree
+        self.values = values
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         clean = {check_diagram(k): int(v) for k, v in self.values.items()}
@@ -91,7 +95,15 @@ class ClassFunction:
             raise DegreeMismatchError(
                 f"class function must be defined on every partition of {self.degree}"
             )
-        object.__setattr__(self, "values", clean)
+        self.values = clean
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.values) == (other.degree, other.values)
+
+    def __repr__(self) -> str:
+        return f"ClassFunction(degree={self.degree!r}, values={self.values!r})"
 
     def __call__(self, cls: Diagram) -> int:
         return self.values[cls]
@@ -104,16 +116,21 @@ def _class_sizes(n: int) -> tuple[tuple[Diagram, int], ...]:
     return tuple((mu, nfact // centralizer_order(mu)) for mu in all_diagrams(n))
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
+def inner_product(f: ClassFunction, g: ClassFunction) -> "fractions.Fraction":
     """Class-function inner product: (1/n!) sum over classes of size * f * g,
     summed in integers and divided once."""
+    # Imported here: only the oracle pairs class functions, and fractions
+    # costs several ms of import on every cold CLI start. A plain import, as
+    # `from fractions import ...` costs ten times more on each later call.
+    import fractions
+
     if f.degree != g.degree:
         raise DegreeMismatchError(
             f"cannot pair class functions of degrees {f.degree} and {g.degree}"
         )
     fv, gv = f.values, g.values
     total = sum(size * fv[mu] * gv[mu] for mu, size in _class_sizes(f.degree))
-    return Fraction(total, factorial(f.degree))
+    return fractions.Fraction(total, factorial(f.degree))
 
 
 # Per-degree memo. Builds are pure and idempotent, so a race between two
@@ -158,7 +175,7 @@ def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram,
         return None
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: bytes that are not text, or not JSON
         return None
     classes = all_diagrams(n)
     expected = [diagram_text(lam) for lam in classes]
@@ -170,7 +187,7 @@ def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram,
         if (
             not isinstance(row, list)
             or len(row) != len(classes)
-            or not all(isinstance(v, int) for v in row)
+            or not all(type(v) is int for v in row)  # JSON true/false load as bool
         ):
             return None
         table[lam] = dict(zip(classes, row))

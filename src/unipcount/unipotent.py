@@ -3,12 +3,11 @@ real general and special linear groups, cell labels, and the multiplicity
 based counts of special unipotent representations for all supported kinds.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import product
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .diagrams import (
     Diagram,
@@ -47,8 +46,7 @@ QUATERNIONIC_KINDS = frozenset({GroupKind.GL_H, GroupKind.SL_H})
 ENUMERATED_KINDS = frozenset({GroupKind.GL_R, GroupKind.SL_R})
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A supported group: its kind with degree n, plus (p, q) for the
     hermitian kinds."""
 
@@ -93,19 +91,22 @@ def make_group(
     return GroupSpec(kind, n)
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+class _Orbit(NamedTuple):
+    first: Diagram
+    second: Diagram | None = None
+
+
+class OrbitSpec(_Orbit):
     """A nilpotent orbit input: one diagram, or an ordered pair of diagrams
     for the complex kinds. Each diagram is checked on construction
     (weakly decreasing, positive rows)."""
 
-    first: Diagram
-    second: Diagram | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "first", check_diagram(self.first))
-        if self.second is not None:
-            object.__setattr__(self, "second", check_diagram(self.second))
+    # A NamedTuple body may not define __new__, hence the _Orbit base.
+    def __new__(cls, first: Diagram, second: Diagram | None = None) -> "OrbitSpec":
+        first = check_diagram(first)
+        return super().__new__(cls, first, None if second is None else check_diagram(second))
 
     @property
     def is_pair(self) -> bool:

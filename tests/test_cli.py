@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import resource
@@ -170,6 +171,18 @@ def test_chartable_cache_and_determinism(cli_runner, tmp_path):
     assert warm == cold
 
 
+def test_chartable_cache_with_non_utf8_bytes_is_a_miss(cli_runner, tmp_path):
+    import unipcount.symreps as symreps
+
+    path = tmp_path / "chartable_3.json"
+    path.write_bytes(b"\xff\xfe{")
+    symreps._TABLES.pop(3, None)
+    code, out, err = cli_runner(["chartable", "--n", "3", "--cache-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert out == cli_runner(["chartable", "--n", "3"])[1]
+    assert symreps._load_table(3, tmp_path) == symreps.character_table(3)
+
+
 def test_chartable_cache_env_var(cli_runner, tmp_path, monkeypatch):
     import unipcount.symreps as symreps
 
@@ -271,6 +284,26 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_stdlib_module():
+    # A cold CLI process pays for every module `import unipcount.cli` pulls in:
+    # dataclasses (with inspect) and fractions cost more than the engine.
+    # bench/child.py reads every layer in spans.LAYERS from sys.modules.
+    spans_path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    code = (
+        "import sys; before = set(sys.modules); import unipcount.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    added = set(proc.stdout.split())
+    assert not added & {"dataclasses", "inspect", "fractions"}
+    assert {f"unipcount.{layer}" for layer in spans.LAYERS} <= added
 
 
 def _limit_address_space():

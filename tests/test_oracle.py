@@ -67,6 +67,9 @@ def test_induced_from_trivial_subgroup_is_regular():
 def test_induction_from_whole_group_is_identity():
     cf = irreducible_character((2, 1))
     assert induced_character((3,), (cf,)) == cf
+    # Class functions compare by value, and their repr rebuilds them.
+    assert cf != irreducible_character((1, 1, 1)) and cf != cf.values
+    assert eval(repr(cf)) == cf
 
 
 def test_induced_degree_mismatch():

@@ -84,6 +84,8 @@ def test_inner_product_degree_mismatch():
 def test_class_function_must_cover_all_classes():
     with pytest.raises(DegreeMismatchError):
         ClassFunction(2, {(2,): 1})
+    with pytest.raises(DegreeMismatchError):
+        ClassFunction(2, {(2,): 1, (1, 1): 1, (3,): 1})
 
 
 def test_tensor_with_sign_transposes_label():
@@ -163,6 +165,20 @@ def test_character_table_ignores_corrupt_cache(tmp_path):
     table = character_table(5, cache_dir=tmp_path)
     symreps._TABLES.pop(5, None)
     assert table == character_table(5)
+
+
+def test_character_table_rejects_booleans_in_cache(tmp_path):
+    # JSON true loads as a bool, which isinstance(v, int) would let through.
+    import unipcount.symreps as symreps
+
+    path = tmp_path / "chartable_3.json"
+    character_table(3, cache_dir=tmp_path)
+    path.write_text(path.read_text().replace("[1, 1, 1]", "[1, true, 1]", 1))
+    assert symreps._load_table(3, tmp_path) is None
+    symreps._TABLES.pop(3, None)
+    table = character_table(3, cache_dir=tmp_path)
+    assert all(type(v) is int for row in table.values() for v in row.values())
+    assert "true" not in path.read_text()
 
 
 def test_character_table_stores_a_memoized_table(tmp_path):

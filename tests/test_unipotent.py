@@ -54,6 +54,12 @@ def test_make_group_validation():
         make_group("su", n=3, p=1, q=1)
     with pytest.raises(ValueError):
         make_group("so", n=3)
+    # Groups are values: equal and hashed by their fields, and immutable.
+    su = make_group("su", p=2, q=1)
+    assert su == make_group("su", p=2, q=1) != make_group("su", p=1, q=2)
+    assert len({su, make_group("su", p=2, q=1), make_group("gl-r", n=3)}) == 2
+    with pytest.raises(AttributeError):
+        su.p = 0
 
 
 def test_cell_rep_examples():
@@ -296,6 +302,12 @@ def test_orbit_spec_validates():
     assert OrbitSpec([2, 1]).first == (2, 1)
     assert OrbitSpec((2, 1), (3,)).second == (3,)
     assert not OrbitSpec((2, 1)).is_pair
+    # Orbits are values: equal and hashed by their (checked) diagrams, and
+    # immutable.
+    assert OrbitSpec([2, 1]) == OrbitSpec((2, 1)) != OrbitSpec((2, 1), (2, 1))
+    assert len({OrbitSpec([2, 1]), OrbitSpec((2, 1)), OrbitSpec((3,))}) == 2
+    with pytest.raises(AttributeError):
+        OrbitSpec((2, 1)).first = (3,)
     for first, second in [((4, -1), None), ((1, 2), None), ((2,), (0,))]:
         with pytest.raises(InvalidPartitionError):
             OrbitSpec(first, second)
