@@ -6,7 +6,6 @@ kind, failed verification), 2 on usage errors.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -92,6 +91,8 @@ def _resolve_orbit(parser: argparse.ArgumentParser, args, kind: GroupKind) -> Or
 
 
 def _emit(obj: dict) -> None:
+    import json  # imported here: table output, errors and start-up never need it
+
     print(json.dumps(obj))
 
 

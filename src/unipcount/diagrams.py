@@ -18,9 +18,14 @@ Diagram = tuple[int, ...]
 def make_diagram(parts: Iterable[int]) -> Diagram:
     """Build a diagram from row lengths, sorting into canonical order.
 
-    Zero and negative entries are rejected rather than dropped.
+    Zero and negative entries are rejected rather than dropped, and entries
+    that are not whole numbers rather than truncated; 2.0 coerces to 2.
     """
-    rows = tuple(sorted((int(p) for p in parts), reverse=True))
+    given = tuple(parts)
+    rows = tuple(map(int, given))
+    if rows != given:
+        raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
+    rows = tuple(sorted(rows, reverse=True))
     if rows and rows[-1] < 1:
         raise InvalidPartitionError(
             f"row lengths must be positive integers, got {rows[-1]}"
@@ -29,8 +34,15 @@ def make_diagram(parts: Iterable[int]) -> Diagram:
 
 
 def check_diagram(d: Iterable[int]) -> Diagram:
-    """Validate an already-canonical diagram (weakly decreasing, positive)."""
-    rows = tuple(map(int, d))
+    """Validate an already-canonical diagram (weakly decreasing, positive).
+
+    Whole numbers such as 2.0 coerce to int; any other entry (2.7, "2") is
+    rejected rather than truncated.
+    """
+    given = tuple(d)
+    rows = tuple(map(int, given))
+    if rows != given:
+        raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
     if rows and min(rows) < 1:
         raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
     if any(map(lt, rows, rows[1:])):

@@ -13,6 +13,7 @@ from collections import Counter
 from functools import cache
 from itertools import product
 from math import factorial, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import unipotent, weylmodules
@@ -31,9 +32,9 @@ from .diagrams import (
 from .errors import DegreeMismatchError, OracleBoundError
 from .symreps import (
     ClassFunction,
+    _class_sizes,
     centralizer_order,
     character_table,
-    inner_product,
     irrep_dimension,
 )
 
@@ -238,15 +239,25 @@ def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
     return fill(0)
 
 
+def _pairings(cf: ClassFunction) -> Iterator[tuple[Diagram, int]]:
+    """(lam, n! times the multiplicity of the irreducible lam in cf) for every
+    label lam: the integer sum over classes of (n! / z_mu) * cf(mu) *
+    chi^lam(mu), with cf weighted by the class sizes once."""
+    weighted = [size * cf.values[mu] for mu, size in _class_sizes(cf.degree)]
+    for lam, row in character_table(cf.degree).items():
+        yield lam, sum(map(mul, weighted, row.values()))
+
+
 def decompose(cf: ClassFunction) -> dict[Diagram, int]:
     """Multiplicity of every irreducible in a class function, by inner
     products; multiplicities must come out integral."""
+    nfact = factorial(cf.degree)
     out = {}
-    for lam in all_diagrams(cf.degree):
-        mult = inner_product(irreducible_character(lam), cf)
-        assert mult.denominator == 1
+    for lam, pairing in _pairings(cf):
+        mult, rem = divmod(pairing, nfact)
+        assert rem == 0
         if mult:
-            out[lam] = int(mult)
+            out[lam] = mult
     return out
 
 
@@ -263,16 +274,17 @@ def orthogonality_check(
     if table is None:
         table = character_table(n)
     nfact = factorial(n)
-    sizes = [(mu, nfact // centralizer_order(mu)) for mu in labels]
-    for a in labels:
-        for b in labels:
-            got = sum(size * table[a][mu] * table[b][mu] for mu, size in sizes)
-            if got != (nfact if a == b else 0):
+    rows = [[table[lam][mu] for mu in labels] for lam in labels]
+    sizes = [size for _, size in _class_sizes(n)]
+    for i, row in enumerate(rows):
+        weighted = list(map(mul, sizes, row))
+        for j, other in enumerate(rows):
+            if sum(map(mul, weighted, other)) != (nfact if i == j else 0):
                 return False
-    for mu in labels:
-        for nu in labels:
-            got = sum(table[lam][mu] * table[lam][nu] for lam in labels)
-            if got != (centralizer_order(mu) if mu == nu else 0):
+    columns = list(zip(*rows))
+    for i, col in enumerate(columns):
+        for j, other in enumerate(columns):
+            if sum(map(mul, col, other)) != (centralizer_order(labels[i]) if i == j else 0):
                 return False
     return True
 
@@ -372,6 +384,7 @@ def run_checks(max_size: int = 8) -> list[dict]:
 
     for total in range(1, min(max_size, 8) + 1):
         bad = []
+        nfact = factorial(total)
         for a in range(0, total + 1):
             b = total - a
             for lam in all_diagrams(a):
@@ -379,10 +392,15 @@ def run_checks(max_size: int = 8) -> list[dict]:
                     induced = induced_character(
                         (a, b), (irreducible_character(lam), irreducible_character(mu))
                     )
-                    for nu in all_diagrams(total):
-                        frob = inner_product(irreducible_character(nu), induced)
-                        lr = lr_coefficient(lam, mu, nu)
-                        if frob != lr:
+                    # The labels come from all_diagrams, so _lr needs no checks.
+                    for nu, pairing in _pairings(induced):
+                        lr = _lr(lam, mu, nu)
+                        if pairing != lr * nfact:
+                            # Imported only on a mismatch: a passing run never
+                            # pays for fractions.
+                            import fractions
+
+                            frob = fractions.Fraction(pairing, nfact)
                             bad.append(
                                 f"({diagram_text(lam)})*({diagram_text(mu)})"
                                 f"->({diagram_text(nu)}): {frob} vs {lr}"

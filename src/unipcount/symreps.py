@@ -1,7 +1,8 @@
 """Exact character theory of the symmetric groups.
 
-Character tables come from the Murnaghan-Nakayama border-strip recursion,
-optionally cached on disk, and dimensions from the hook-length formula.
+Character tables are built one class column at a time by the
+Murnaghan-Nakayama border-strip rule, optionally cached on disk, and
+dimensions come from the hook-length formula.
 Everything is integer arithmetic; the only rational is the value that a
 class-function inner product returns, one quotient of an integer sum by n!.
 
@@ -10,13 +11,12 @@ the one-row diagram the trivial representation and the one-column diagram
 the sign representation.
 """
 
-import json
 import os
 from collections import Counter
 from functools import cache
 from math import factorial, prod
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transpose
 from .errors import DegreeMismatchError
@@ -27,32 +27,48 @@ if TYPE_CHECKING:
 IrrepLabel = Diagram
 
 
-def _strip_removals(label: Diagram, length: int) -> Iterator[tuple[Diagram, int]]:
-    """Yield (smaller label, height) for every removable border strip.
+@cache
+def _strip_additions(label: Diagram, length: int) -> tuple[tuple[Diagram, int], ...]:
+    """(larger label, sign) for every border strip of the given length that
+    can be added to the label.
 
-    Works on the beta-set (first-column hook lengths): removing a strip of
-    the given length moves one beta number down by that length, and the
-    height is the number of beta numbers it jumps over.
+    Works on the beta-set (first-column hook lengths) padded with `length`
+    zero rows, enough for a strip to start new rows: adding a strip moves
+    one beta number up by that length, and the sign is -1 to the number of
+    beta numbers it jumps over (the strip's height).
     """
-    nrows = len(label)
-    beta = [label[i] + nrows - 1 - i for i in range(nrows)]
-    present = set(beta)
-    for b in beta:
-        nb = b - length
-        if nb < 0 or nb in present:
+    nrows = len(label) + length
+    beta = [p + nrows - 1 - i for i, p in enumerate(label + (0,) * length)]
+    out = []
+    j = 0  # first bead at or below the target; moves down as b does
+    for i, b in enumerate(beta):
+        nb = b + length
+        while beta[j] > nb:
+            j += 1
+        if beta[j] == nb:
             continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((present - {b}) | {nb}, reverse=True)
-        smaller = (x - (nrows - 1 - j) for j, x in enumerate(newbeta))
-        yield tuple(p for p in smaller if p), height
+        newbeta = beta[:j] + [nb] + beta[j:i] + beta[i + 1 :]
+        larger = (x - (nrows - 1 - k) for k, x in enumerate(newbeta))
+        out.append((tuple(p for p in larger if p), -1 if (i - j) % 2 else 1))
+    return tuple(out)
 
 
 @cache
-def _mn(label: Diagram, cls: Diagram) -> int:
+def _column(cls: Diagram) -> dict[IrrepLabel, int]:
+    """The nonzero values chi^lam(cls) over every label lam of size |cls|.
+
+    The Murnaghan-Nakayama rule run forward: every value of the column of
+    cls[1:] is pushed through the strips of length cls[0] that can be added
+    to its label.
+    """
     if not cls:
-        return 1
-    length, rest = cls[0], cls[1:]
-    return sum((-1) ** h * _mn(smaller, rest) for smaller, h in _strip_removals(label, length))
+        return {(): 1}
+    out: dict[IrrepLabel, int] = {}
+    length = cls[0]
+    for smaller, value in _column(cls[1:]).items():
+        for larger, sign in _strip_additions(smaller, length):
+            out[larger] = out.get(larger, 0) + sign * value
+    return {lam: v for lam, v in out.items() if v}
 
 
 @cache
@@ -140,7 +156,7 @@ _TABLES: dict[int, dict[IrrepLabel, dict[Diagram, int]]] = {}
 
 def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLabel, dict[Diagram, int]]:
     """Full character table of S_n, keyed [label][class] and memoized per
-    degree.
+    degree. Labels and the classes of every row run in all_diagrams order.
 
     With cache_dir set, rows are loaded from and stored to one JSON file per
     degree (chartable_<n>.json): a map from the label's comma-separated form
@@ -158,7 +174,8 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
             table = loaded
     if table is None:
         labels = all_diagrams(n)
-        table = {lam: {mu: _mn(lam, mu) for mu in labels} for lam in labels}
+        columns = [(mu, _column(mu)) for mu in labels]
+        table = {lam: {mu: col.get(lam, 0) for mu, col in columns} for lam in labels}
     _TABLES[n] = table
     if cache_dir is not None and n > 0 and not on_disk:
         _store_table(n, table, cache_dir)
@@ -173,6 +190,8 @@ def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram,
     path = _table_path(n, cache_dir)
     if not path.is_file():
         return None
+    import json  # only the disk cache and the CLI's JSON output use it
+
     try:
         raw = json.loads(path.read_text())
     except (OSError, ValueError):  # ValueError: bytes that are not text, or not JSON
@@ -200,8 +219,9 @@ def _store_table(n: int, table: dict[IrrepLabel, dict[Diagram, int]], cache_dir:
     classes = all_diagrams(n)
     payload = {diagram_text(lam): [table[lam][mu] for mu in classes] for lam in classes}
     # Write a temp file beside the target and rename it into place, so a
-    # reader never sees a partial table. tempfile is imported here because
-    # only a store needs it and it costs several ms of import.
+    # reader never sees a partial table. json and tempfile are imported here
+    # because only a store needs them and they cost several ms of import.
+    import json
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

@@ -28,8 +28,9 @@ class ModuleDecomp:
     """Finitely supported multiplicity map from label tuples (one diagram per
     symmetric-group factor) to positive integers.
 
-    Optional named summands can be attached as ``parts`` metadata; they are
-    ignored by equality.
+    Shape entries and multiplicities must be whole numbers: 2.0 coerces to
+    2, and 2.5 is rejected rather than truncated. Optional named summands
+    can be attached as ``parts`` metadata; they are ignored by equality.
     """
 
     __slots__ = ("shape", "mults", "parts")
@@ -39,14 +40,20 @@ class ModuleDecomp:
         shape: Iterable[int],
         mults: Mapping[ModuleKey, int] | Iterable[tuple[ModuleKey, int]] = (),
     ) -> None:
-        self.shape = tuple(int(s) for s in shape)
+        given = tuple(shape)
+        self.shape = tuple(map(int, given))
+        if self.shape != given:
+            raise ShapeMismatchError(f"factor degrees must be whole numbers: {given}")
         if any(s < 0 for s in self.shape):
             raise ShapeMismatchError(f"factor degrees must be non-negative: {self.shape}")
         items = mults.items() if isinstance(mults, Mapping) else mults
         clean: dict[ModuleKey, int] = {}
         for key, m in items:
             key = self._check_key(key)
-            m = int(m)
+            whole = int(m)
+            if whole != m:
+                raise ShapeMismatchError(f"multiplicities must be whole numbers, got {m!r}")
+            m = whole
             if m < 0:
                 raise ShapeMismatchError(f"multiplicities must be non-negative, got {m}")
             if m:

@@ -288,7 +288,7 @@ def test_console_script_end_to_end():
 
 def test_cli_import_loads_every_layer_and_no_heavy_stdlib_module():
     # A cold CLI process pays for every module `import unipcount.cli` pulls in:
-    # dataclasses (with inspect) and fractions cost more than the engine.
+    # dataclasses (with inspect), fractions and json cost more than the engine.
     # bench/child.py reads every layer in spans.LAYERS from sys.modules.
     spans_path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
@@ -302,8 +302,20 @@ def test_cli_import_loads_every_layer_and_no_heavy_stdlib_module():
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
     )
     added = set(proc.stdout.split())
-    assert not added & {"dataclasses", "inspect", "fractions"}
+    assert not added & {"dataclasses", "inspect", "fractions", "json"}
     assert {f"unipcount.{layer}" for layer in spans.LAYERS} <= added
+
+
+def test_passing_checks_never_import_fractions():
+    # The oracle sums integers; only a mismatch message builds a Fraction.
+    code = (
+        "import sys; from unipcount.oracle import run_checks; "
+        "assert all(e['pass'] for e in run_checks(4)); print('fractions' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def _limit_address_space():

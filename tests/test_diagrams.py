@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from unipcount.diagrams import (
     all_diagrams,
+    check_diagram,
     coset_signature,
     even_odd_split,
     format_diagram,
@@ -30,6 +31,20 @@ def test_make_diagram_sorts(parts, expected):
 def test_make_diagram_rejects_nonpositive(parts):
     with pytest.raises(InvalidPartitionError):
         make_diagram(parts)
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), ("2", 1), (3, 1.5), (2, 1, 0.5)])
+def test_rows_that_are_not_whole_numbers_are_rejected_not_truncated(parts):
+    with pytest.raises(InvalidPartitionError, match="whole numbers"):
+        check_diagram(parts)
+    with pytest.raises(InvalidPartitionError, match="whole numbers"):
+        make_diagram(parts)
+
+
+def test_whole_number_rows_coerce_to_int():
+    assert check_diagram((2.0, 1)) == (2, 1)
+    assert make_diagram([1.0, 3]) == (3, 1)
+    assert all(type(p) is int for p in check_diagram((2.0, 1)) + make_diagram([1.0, 3]))
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from unipcount import oracle
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import DegreeMismatchError, OracleBoundError
 from unipcount.oracle import (
@@ -201,3 +202,23 @@ def test_run_checks_all_pass():
     assert "matchings-decomposition" in names
     for c in checks:
         assert set(c) == {"check", "instance", "expected", "actual", "pass"}
+
+
+def test_lr_frobenius_reports_a_mismatch_as_before(monkeypatch):
+    lr = oracle._lr
+    monkeypatch.setattr(
+        oracle, "_lr", lambda *t: 0 if t == ((1,), (1,), (2,)) else lr(*t)
+    )
+    report = {(e["check"], e["instance"]): e for e in run_checks(2)}
+    entry = report["lr-frobenius", "|lam|+|mu|=2"]
+    assert entry["actual"] == "1 mismatches; first: (1)*(1)->(2): 1 vs 0"
+    assert not entry["pass"]
+    assert report["lr-frobenius", "|lam|+|mu|=1"]["pass"]
+
+
+def test_decompose_refuses_a_class_function_that_is_not_a_character():
+    # Its pairing with the trivial character is 2 * 1 + 1 * 0 = 1, not a
+    # multiple of 2!.
+    with pytest.raises(AssertionError):
+        decompose(ClassFunction(2, {(2,): 1, (1, 1): 0}))
+

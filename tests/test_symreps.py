@@ -1,5 +1,8 @@
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -8,6 +11,7 @@ from unipcount.errors import DegreeMismatchError
 from unipcount.oracle import irreducible_character, lr_coefficient
 from unipcount.symreps import (
     ClassFunction,
+    _strip_additions,
     centralizer_order,
     character_table,
     inner_product,
@@ -227,3 +231,70 @@ def test_character_table_store_is_atomic(tmp_path, monkeypatch):
         symreps._store_table(4, table, tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == ["chartable_4.json"]
     assert (tmp_path / "chartable_4.json").read_bytes() == before
+
+
+# Reference: the Murnaghan-Nakayama rule run backward, pulling one memoized
+# value per (label, class suffix) by removing border strips. The engine ran
+# it this way before it built tables a column at a time.
+def _strip_removals(label, length):
+    """(smaller label, height) for every removable border strip: one beta
+    number moves down by the length, jumping over `height` others."""
+    nrows = len(label)
+    beta = [label[i] + nrows - 1 - i for i in range(nrows)]
+    present = set(beta)
+    for b in beta:
+        nb = b - length
+        if nb < 0 or nb in present:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        newbeta = sorted((present - {b}) | {nb}, reverse=True)
+        smaller = (x - (nrows - 1 - j) for j, x in enumerate(newbeta))
+        yield tuple(p for p in smaller if p), height
+
+
+@cache
+def _mn(label, cls):
+    if not cls:
+        return 1
+    length, rest = cls[0], cls[1:]
+    return sum((-1) ** h * _mn(smaller, rest) for smaller, h in _strip_removals(label, length))
+
+
+def test_character_table_matches_the_strip_removal_recursion():
+    for n in range(0, 13):
+        labels = all_diagrams(n)
+        table = character_table(n)
+        assert list(table) == list(labels)
+        for lam in labels:
+            assert list(table[lam]) == list(labels)
+            assert list(table[lam].values()) == [_mn(lam, mu) for mu in labels]
+
+
+def test_strip_additions_invert_the_strip_removals():
+    # For every label of size <= 10 and every strip length up to 10, the
+    # strips added to it are exactly the strips removed from a larger label
+    # that give it back, with the same signs.
+    removed = {}
+    for size in range(1, 21):
+        for larger in all_diagrams(size):
+            for length in range(max(1, size - 10), min(size, 10) + 1):
+                for smaller, height in _strip_removals(larger, length):
+                    removed.setdefault((smaller, length), Counter())[larger, (-1) ** height] += 1
+    for size in range(0, 11):
+        for label in all_diagrams(size):
+            for length in range(1, 11):
+                added = Counter(_strip_additions(label, length))
+                assert added == removed.get((label, length), Counter())
+
+
+def test_column_orthogonality_beyond_the_oracle_bound():
+    # sum over lam of chi^lam(mu) chi^lam(nu) = z_mu if mu == nu, else 0;
+    # orthogonality_check stops at ORTHOGONALITY_BOUND = 8.
+    for n in range(9, 15):
+        labels = all_diagrams(n)
+        table = character_table(n)
+        columns = list(zip(*(list(table[lam].values()) for lam in labels)))
+        for i, col in enumerate(columns):
+            for j, other in enumerate(columns):
+                expected = centralizer_order(labels[i]) if i == j else 0
+                assert sum(map(mul, col, other)) == expected

@@ -316,6 +316,17 @@ def test_orbit_spec_validates():
         count_unipotent(make_group("su", p=3, q=0), OrbitSpec((4, -1)))
 
 
+def test_orbit_spec_refuses_rows_that_are_not_whole_numbers():
+    # int() would truncate (2.7, 1) to (2, 1), and gl-r would then count 4.
+    for first in [(2.7, 1), ("2", 1), (2, 0.5)]:
+        with pytest.raises(InvalidPartitionError):
+            OrbitSpec(first)
+    with pytest.raises(InvalidPartitionError):
+        OrbitSpec((2, 1), (1.5, 1.5))
+    assert OrbitSpec((2.0, 1)) == OrbitSpec((2, 1))
+    assert count_unipotent(make_group("gl-r", n=3), OrbitSpec((2.0, 1.0))) == 4
+
+
 def test_real_queries_check_the_diagram_only_in_orbit_spec(monkeypatch):
     sl_r, gl_r = make_group("sl-r", n=4), make_group("gl-r", n=4)
     spec = OrbitSpec((2, 2))

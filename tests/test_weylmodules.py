@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipcount.diagrams import all_diagrams, coset_signature
-from unipcount.errors import DegreeMismatchError, ShapeMismatchError, UnsupportedGroupError
+from unipcount.errors import (
+    DegreeMismatchError,
+    InvalidPartitionError,
+    ShapeMismatchError,
+    UnsupportedGroupError,
+)
 from unipcount.symreps import irrep_dimension
 from unipcount.weylmodules import (
     ModuleDecomp,
@@ -276,3 +281,16 @@ def test_json_roundtrip_and_canonical_order():
     assert ModuleDecomp.from_json_obj(unit.to_json_obj()) == unit
     zero = ModuleDecomp((3, 1))
     assert ModuleDecomp.from_json_obj(zero.to_json_obj()) == zero
+
+
+def test_json_refuses_entries_that_are_not_whole_numbers():
+    # int() would truncate these to {((2,),): 1}.
+    with pytest.raises(InvalidPartitionError):
+        ModuleDecomp.from_json_obj({"shape": [2], "mults": [{"key": [[2.9]], "m": 1.5}]})
+    with pytest.raises(ShapeMismatchError, match="whole numbers"):
+        ModuleDecomp.from_json_obj({"shape": [2], "mults": [{"key": [[2]], "m": 1.5}]})
+    with pytest.raises(ShapeMismatchError, match="whole numbers"):
+        ModuleDecomp((2.5,), {})
+    whole = ModuleDecomp.from_json_obj({"shape": [2.0], "mults": [{"key": [[2.0]], "m": 1.0}]})
+    assert whole == md((2,), {((2,),): 1})
+    assert type(whole.shape[0]) is int and type(whole.mults[((2,),)]) is int
