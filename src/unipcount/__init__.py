@@ -29,12 +29,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedGroupError,
 )
-from .symreps import (
-    ClassFunction,
-    character_table,
-    inner_product,
-    irrep_dimension,
-)
+from .symreps import character_table, irrep_dimension
 from .unipotent import (
     GroupKind,
     GroupSpec,

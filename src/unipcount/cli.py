@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--orbit", required=True, help="comma-separated row lengths, e.g. 3,1,1")
             p.add_argument("--orbit2", help="second orbit factor for the complex kinds (defaults to --orbit)")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--cache-dir")
+        if not with_group:  # only the character-table commands read a cache
+            p.add_argument("--cache-dir")
 
     add_common(sub.add_parser("count", help="count the attached special unipotent representations"))
     add_common(sub.add_parser("enumerate", help="list the induced parameters (gl-r and sl-r)"))
@@ -68,26 +69,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_group(parser: argparse.ArgumentParser, args) -> GroupSpec:
+def _resolve(parser: argparse.ArgumentParser, args) -> tuple[GroupSpec, OrbitSpec]:
+    """The group and orbit of a group command, each orbit parsed once.
+
+    Usage errors in --p/--q come first. Then the group's errors come before
+    the orbit's, except for a kind without --n, which takes n from the
+    orbit. A stray --orbit2 is reported last.
+    """
     kind = GroupKind(args.group)
-    if kind in HERMITIAN_KINDS:
-        if args.p is None or args.q is None:
-            parser.error(f"--group {kind.value} requires --p and --q")
-        return make_group(kind, n=args.n, p=args.p, q=args.q)
-    if args.p is not None or args.q is not None:
+    hermitian = kind in HERMITIAN_KINDS
+    if hermitian and (args.p is None or args.q is None):
+        parser.error(f"--group {kind.value} requires --p and --q")
+    if not hermitian and (args.p is not None or args.q is not None):
         parser.error(f"--group {kind.value} takes --n, not --p/--q")
-    n = args.n if args.n is not None else sum(parse_orbit(args.orbit))
-    return make_group(kind, n=n)
-
-
-def _resolve_orbit(parser: argparse.ArgumentParser, args, kind: GroupKind) -> OrbitSpec:
+    group = None
+    if hermitian or args.n is not None:
+        group = make_group(kind, n=args.n, p=args.p, q=args.q)
     first = parse_orbit(args.orbit)
+    if group is None:
+        group = make_group(kind, n=sum(first))
     if kind in COMPLEX_KINDS:
-        second = parse_orbit(args.orbit2) if args.orbit2 else first
-        return OrbitSpec(first, second)
+        return group, OrbitSpec(first, parse_orbit(args.orbit2) if args.orbit2 else first)
     if args.orbit2:
         parser.error(f"--orbit2 is only meaningful for the complex kinds, not {kind.value}")
-    return OrbitSpec(first)
+    return group, OrbitSpec(first)
 
 
 def _emit(obj: dict) -> None:
@@ -97,9 +102,7 @@ def _emit(obj: dict) -> None:
 
 
 def _cmd_count(parser, args) -> int:
-    group = _resolve_group(parser, args)
-    orbit = _resolve_orbit(parser, args, group.kind)
-    record = count_record(group, orbit)
+    record = count_record(*_resolve(parser, args))
     if args.format == "json":
         _emit(record)
     else:
@@ -108,9 +111,7 @@ def _cmd_count(parser, args) -> int:
 
 
 def _cmd_enumerate(parser, args) -> int:
-    group = _resolve_group(parser, args)
-    orbit = _resolve_orbit(parser, args, group.kind)
-    record = enumeration_record(group, orbit)
+    record = enumeration_record(*_resolve(parser, args))
     if args.format == "json":
         _emit(record)
         return 0
@@ -125,8 +126,7 @@ def _cmd_enumerate(parser, args) -> int:
 
 
 def _cmd_coh(parser, args) -> int:
-    group = _resolve_group(parser, args)
-    orbit = _resolve_orbit(parser, args, group.kind)
+    group, orbit = _resolve(parser, args)
     module = coherent_module(group, orbit)
     if args.format == "json":
         record = {
@@ -148,8 +148,7 @@ def _cmd_coh(parser, args) -> int:
 
 
 def _cmd_cell(parser, args) -> int:
-    group = _resolve_group(parser, args)
-    orbit = _resolve_orbit(parser, args, group.kind)
+    group, orbit = _resolve(parser, args)
     cell = cell_rep(group, orbit)
     if args.format == "json":
         _emit(

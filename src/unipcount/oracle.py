@@ -9,7 +9,6 @@ Oracle bounds are conservative defaults; exceeding one raises instead of
 approximating.
 """
 
-from collections import Counter
 from functools import cache
 from itertools import product
 from math import factorial, prod
@@ -30,13 +29,7 @@ from .diagrams import (
     transpose,
 )
 from .errors import DegreeMismatchError, OracleBoundError
-from .symreps import (
-    ClassFunction,
-    _class_sizes,
-    centralizer_order,
-    character_table,
-    irrep_dimension,
-)
+from .symreps import ClassFunction, centralizer_order, character_table, irrep_dimension
 
 MATCHINGS_BOUND = 4
 ORTHOGONALITY_BOUND = 8
@@ -96,71 +89,24 @@ def matchings_character(r: int, bound: int = MATCHINGS_BOUND) -> ClassFunction:
     return ClassFunction(2 * r, values)
 
 
-def _sub_multisets(counts: dict[int, int], target: int) -> Iterator[dict[int, int]]:
-    """Sub-multisets of a {part: count} multiset with the given total size."""
-    parts = sorted(counts)
-
-    def rec(idx: int, remaining: int) -> Iterator[dict[int, int]]:
-        if remaining == 0:
-            yield {}
-            return
-        if idx == len(parts):
-            return
-        part = parts[idx]
-        for take in range(min(counts[part], remaining // part) + 1):
-            for rest in rec(idx + 1, remaining - take * part):
-                if take:
-                    out = dict(rest)
-                    out[part] = take
-                    yield out
-                else:
-                    yield rest
-
-    yield from rec(0, target)
-
-
-def _class_splits(
-    counts: dict[int, int], degrees: Sequence[int]
-) -> Iterator[tuple[dict[int, int], ...]]:
-    if len(degrees) == 1:
-        if sum(p * c for p, c in counts.items()) == degrees[0]:
-            yield (counts,)
-        return
-    for sub in _sub_multisets(counts, degrees[0]):
-        remaining = {
-            p: c - sub.get(p, 0) for p, c in counts.items() if c - sub.get(p, 0) > 0
-        }
-        for tail in _class_splits(remaining, degrees[1:]):
-            yield (sub, *tail)
-
-
-def _counts_to_class(counts: dict[int, int]) -> Diagram:
-    out: list[int] = []
-    for part in sorted(counts, reverse=True):
-        out.extend([part] * counts[part])
-    return tuple(out)
-
-
 @cache
 def _fusion(
     sub_degrees: tuple[int, ...],
 ) -> tuple[tuple[Diagram, tuple[tuple[int, tuple[Diagram, ...]], ...]], ...]:
     """For every class of S_n, the (weight, subclasses) terms of the
     class-fusion formula from the product of the S_d for d in sub_degrees.
-    Each weight z_G(cls) / prod z_H(sc) is the integer index [C_G(h) : C_H(h)]."""
-    table = []
-    for cls in all_diagrams(sum(sub_degrees)):
-        terms = []
-        for split in _class_splits(dict(Counter(cls)), sub_degrees):
-            subclasses = tuple(_counts_to_class(s) for s in split)
-            weight, rem = divmod(
-                centralizer_order(cls),
-                prod(centralizer_order(sc) for sc in subclasses),
-            )
-            assert rem == 0
-            terms.append((weight, subclasses))
-        table.append((cls, tuple(terms)))
-    return tuple(table)
+    Each tuple of subclasses fuses into one class, the union of their
+    cycles, and its weight z_G(cls) / prod z_H(sc) is the integer index
+    [C_G(h) : C_H(h)]."""
+    terms: dict[Diagram, list] = {cls: [] for cls in all_diagrams(sum(sub_degrees))}
+    for subclasses in product(*map(all_diagrams, sub_degrees)):
+        cls = tuple(sorted(sum(subclasses, ()), reverse=True))
+        weight, rem = divmod(
+            centralizer_order(cls), prod(map(centralizer_order, subclasses))
+        )
+        assert rem == 0
+        terms[cls].append((weight, subclasses))
+    return tuple((cls, tuple(t)) for cls, t in terms.items())
 
 
 def induced_character(
@@ -169,7 +115,10 @@ def induced_character(
     """Character induced to S_n from a product of symmetric subgroups, by the
     class-fusion formula. Its weights are the integer indices of the subgroup
     centralizers C_H(h) in C_G(h), taken once per degree tuple."""
-    sub_degrees = tuple(int(d) for d in sub_degrees)
+    given = tuple(sub_degrees)
+    sub_degrees = tuple(map(int, given))
+    if sub_degrees != given:
+        raise DegreeMismatchError(f"factor degrees must be whole numbers: {given}")
     if len(sub_degrees) != len(sub_characters) or not sub_degrees:
         raise DegreeMismatchError("one class function per factor is required")
     for d, f in zip(sub_degrees, sub_characters):
@@ -237,6 +186,13 @@ def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
         return total
 
     return fill(0)
+
+
+@cache
+def _class_sizes(n: int) -> tuple[tuple[Diagram, int], ...]:
+    """(class, n! / z_class) for every conjugacy class of S_n."""
+    nfact = factorial(n)
+    return tuple((mu, nfact // centralizer_order(mu)) for mu in all_diagrams(n))
 
 
 def _pairings(cf: ClassFunction) -> Iterator[tuple[Diagram, int]]:
@@ -419,13 +375,11 @@ def run_checks(max_size: int = 8) -> list[dict]:
 
     for n in range(2, max_size + 1):
         bad = []
+        group = unipotent.make_group(unipotent.GroupKind.SL_R, n=n)
         for orbit in all_diagrams(n):
-            mults = row_profile(orbit).mults
-            e = 1 if all(m % 2 == 0 for m in mults) else 0
-            formula = (prod(m + 1 for m in mults) + 3 * e) // 2
-            group = unipotent.make_group(unipotent.GroupKind.SL_R, n=n)
-            params = unipotent.enumeration_record(group, unipotent.OrbitSpec(orbit))["params"]
-            if len(params) != formula:
+            spec = unipotent.OrbitSpec(orbit)
+            params = unipotent.enumeration_record(group, spec)["params"]
+            if len(params) != unipotent.count_unipotent(group, spec):
                 bad.append(diagram_text(orbit))
         entry("sl-count-formula", f"n={n}", "0 mismatches", mismatch_summary(bad))
 

@@ -2,9 +2,8 @@
 
 Character tables are built one class column at a time by the
 Murnaghan-Nakayama border-strip rule, optionally cached on disk, and
-dimensions come from the hook-length formula.
-Everything is integer arithmetic; the only rational is the value that a
-class-function inner product returns, one quotient of an integer sum by n!.
+dimensions come from the hook-length formula. Everything is integer
+arithmetic.
 
 Irreducible representations of S_n are labeled by diagrams of size n, with
 the one-row diagram the trivial representation and the one-column diagram
@@ -16,13 +15,9 @@ from collections import Counter
 from functools import cache
 from math import factorial, prod
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transpose
 from .errors import DegreeMismatchError
-
-if TYPE_CHECKING:
-    import fractions
 
 IrrepLabel = Diagram
 
@@ -96,7 +91,8 @@ def centralizer_order(cls: Diagram) -> int:
 
 class ClassFunction:
     """Integer-valued function on the conjugacy classes (partitions) of S_n,
-    defined on every class. Equal by value."""
+    defined on every class. Equal by value. Values must be whole numbers:
+    2.0 coerces to 2, and 2.5 or "2" is refused rather than truncated."""
 
     __slots__ = ("degree", "values")
 
@@ -106,7 +102,12 @@ class ClassFunction:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        clean = {check_diagram(k): int(v) for k, v in self.values.items()}
+        given = list(self.values.values())
+        whole = list(map(int, given))
+        if whole != given:
+            bad = next(v for v, w in zip(given, whole) if v != w)
+            raise DegreeMismatchError(f"class function values must be whole numbers, got {bad!r}")
+        clean = dict(zip(map(check_diagram, self.values), whole))
         if set(clean) != set(all_diagrams(self.degree)):
             raise DegreeMismatchError(
                 f"class function must be defined on every partition of {self.degree}"
@@ -120,33 +121,6 @@ class ClassFunction:
 
     def __repr__(self) -> str:
         return f"ClassFunction(degree={self.degree!r}, values={self.values!r})"
-
-    def __call__(self, cls: Diagram) -> int:
-        return self.values[cls]
-
-
-@cache
-def _class_sizes(n: int) -> tuple[tuple[Diagram, int], ...]:
-    """(class, n! / z_class) for every conjugacy class of S_n."""
-    nfact = factorial(n)
-    return tuple((mu, nfact // centralizer_order(mu)) for mu in all_diagrams(n))
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> "fractions.Fraction":
-    """Class-function inner product: (1/n!) sum over classes of size * f * g,
-    summed in integers and divided once."""
-    # Imported here: only the oracle pairs class functions, and fractions
-    # costs several ms of import on every cold CLI start. A plain import, as
-    # `from fractions import ...` costs ten times more on each later call.
-    import fractions
-
-    if f.degree != g.degree:
-        raise DegreeMismatchError(
-            f"cannot pair class functions of degrees {f.degree} and {g.degree}"
-        )
-    fv, gv = f.values, g.values
-    total = sum(size * fv[mu] * gv[mu] for mu, size in _class_sizes(f.degree))
-    return fractions.Fraction(total, factorial(f.degree))
 
 
 # Per-degree memo. Builds are pure and idempotent, so a race between two

@@ -1,5 +1,7 @@
 import io
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,15 @@ def run_cli(argv):
 @pytest.fixture
 def cli_runner():
     return run_cli
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child interpreter that imports the same unipcount as
+    this process, installed or not."""
+    import unipcount
+
+    src = str(Path(unipcount.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -221,6 +220,50 @@ def test_verify_max_size_below_1_is_usage_error(cli_runner):
         assert "--max-size" in err
 
 
+
+@pytest.mark.parametrize("command", ["count", "enumerate", "coh", "cell"])
+def test_group_commands_take_no_cache_dir(cli_runner, command, tmp_path):
+    # Only chartable and verify read the character-table cache.
+    code, out, err = cli_runner(
+        [command, "--group", "su", "--p", "1", "--q", "1", "--orbit", "1,1",
+         "--cache-dir", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --cache-dir" in err
+
+
+@pytest.mark.parametrize("stray_orbit2", [False, True], ids=["orbit2", "stray-orbit2"])
+@pytest.mark.parametrize("bad_orbit", [False, True], ids=["orbit", "bad-orbit"])
+@pytest.mark.parametrize("bad_group", [False, True], ids=["group", "bad-group"])
+@pytest.mark.parametrize("bad_pq", [False, True], ids=["pq", "bad-pq"])
+@pytest.mark.parametrize("kind", ["su", "gl-r"])
+def test_group_argument_errors_come_in_a_fixed_order(
+    cli_runner, kind, bad_pq, bad_group, bad_orbit, stray_orbit2
+):
+    # --p/--q usage first, then the group, then the orbit, then --orbit2.
+    if kind == "su":
+        group = ["--p", "-1" if bad_group else "2"] + ([] if bad_pq else ["--q", "1"])
+        expected = [
+            (bad_pq, 2, "requires --p and --q"),
+            (bad_group, 1, "requires p, q >= 0"),
+        ]
+    else:
+        group = ["--n", "0" if bad_group else "3"] + (["--p", "1"] if bad_pq else [])
+        expected = [(bad_pq, 2, "takes --n, not --p/--q"), (bad_group, 1, "requires n >= 1")]
+    expected += [
+        (bad_orbit, 1, "cannot parse orbit"),
+        (stray_orbit2, 2, "--orbit2 is only meaningful"),
+        (True, 0, ""),
+    ]
+    argv = ["count", "--group", kind, *group, "--orbit", "2,x" if bad_orbit else "2,1"]
+    code, out, err = cli_runner(argv + (["--orbit2", "3"] if stray_orbit2 else []))
+    want_code, want_message = next((c, m) for applies, c, m in expected if applies)
+    assert code == want_code
+    assert want_message in err
+    assert (out != "") == (want_code == 0)
+
+
 # Group arguments with an orbit that does not fit the group, for every kind.
 WRONG_SIZE = [
     ("gl-r", ["--n", "3", "--orbit", "2,1,1"]),
@@ -258,18 +301,7 @@ def test_wrong_size_orbit_exits_1(cli_runner, command, kind, group_args):
     assert REFUSED[command].get(kind, "match n =") in err
 
 
-def _child_env():
-    """Environment for a child interpreter that imports the same unipcount as
-    this process, installed or not."""
-    import unipcount
-
-    src = str(Path(unipcount.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def test_console_script_end_to_end():
+def test_console_script_end_to_end(child_env):
     proc = subprocess.run(
         [
             sys.executable,
@@ -280,13 +312,13 @@ def test_console_script_end_to_end():
         ],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
 
 
-def test_cli_import_loads_every_layer_and_no_heavy_stdlib_module():
+def test_cli_import_loads_every_layer_and_no_heavy_stdlib_module(child_env):
     # A cold CLI process pays for every module `import unipcount.cli` pulls in:
     # dataclasses (with inspect), fractions and json cost more than the engine.
     # bench/child.py reads every layer in spans.LAYERS from sys.modules.
@@ -299,21 +331,21 @@ def test_cli_import_loads_every_layer_and_no_heavy_stdlib_module():
         "print('\\n'.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     added = set(proc.stdout.split())
     assert not added & {"dataclasses", "inspect", "fractions", "json"}
     assert {f"unipcount.{layer}" for layer in spans.LAYERS} <= added
 
 
-def test_passing_checks_never_import_fractions():
+def test_passing_checks_never_import_fractions(child_env):
     # The oracle sums integers; only a mismatch message builds a Fraction.
     code = (
         "import sys; from unipcount.oracle import run_checks; "
         "assert all(e['pass'] for e in run_checks(4)); print('fractions' in sys.modules)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, check=True
     )
     assert proc.stdout.strip() == "False"
 
@@ -332,14 +364,14 @@ def _limit_address_space():
     ],
     ids=["su-n68", "su-n108", "sl-r-n156", "sl-r-n182"],
 )
-def test_large_counts_run_in_bounded_memory(group_args, orbit, count):
+def test_large_counts_run_in_bounded_memory(group_args, orbit, count, child_env):
     # Counts are arithmetic: these orbits (n = 68 to 182) count in a fraction
     # of a second under a 1 GiB address-space limit on the child.
     proc = subprocess.run(
         [sys.executable, "-m", "unipcount.cli", "count", "--group", *group_args, "--orbit", orbit],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env,
         preexec_fn=_limit_address_space,
         timeout=120,
     )

@@ -1,8 +1,10 @@
-from math import factorial
+from collections import Counter
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
-from unipcount import oracle
+from unipcount import oracle, unipotent
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import DegreeMismatchError, OracleBoundError
 from unipcount.oracle import (
@@ -17,7 +19,7 @@ from unipcount.oracle import (
     parameter_tuples,
     run_checks,
 )
-from unipcount.symreps import ClassFunction, character_table, inner_product
+from unipcount.symreps import ClassFunction, centralizer_order, character_table
 from unipcount.unipotent import OrbitSpec, enumeration_record, make_group
 from unipcount.weylmodules import matchings_module
 
@@ -89,10 +91,9 @@ def test_frobenius_reciprocity_small():
                         (a, b),
                         (irreducible_character(lam), irreducible_character(mu)),
                     )
+                    mults = decompose(induced)
                     for nu in all_diagrams(a + b):
-                        assert inner_product(
-                            irreducible_character(nu), induced
-                        ) == lr_coefficient(lam, mu, nu)
+                        assert mults.get(nu, 0) == lr_coefficient(lam, mu, nu)
 
 
 def test_induced_trivial_degree_is_multinomial():
@@ -103,7 +104,7 @@ def test_induced_trivial_degree_is_multinomial():
             (trivial_character(a), trivial_character(b), trivial_character(c)),
         )
         n = a + b + c
-        assert cf((1,) * n) == factorial(n) // (factorial(a) * factorial(b) * factorial(c))
+        assert cf.values[(1,) * n] == factorial(n) // (factorial(a) * factorial(b) * factorial(c))
 
 
 def test_induction_additive_in_character():
@@ -222,3 +223,89 @@ def test_decompose_refuses_a_class_function_that_is_not_a_character():
     with pytest.raises(AssertionError):
         decompose(ClassFunction(2, {(2,): 1, (1, 1): 0}))
 
+
+
+def test_induced_character_refuses_degrees_that_are_not_whole():
+    one = trivial_character(1)
+    with pytest.raises(DegreeMismatchError, match="whole numbers"):
+        induced_character((1.5, 1), (one, one))
+    with pytest.raises(DegreeMismatchError, match="whole numbers"):
+        induced_character(("1", 1), (one, one))
+    assert induced_character((1.0, 1), (one, one)) == induced_character((1, 1), (one, one))
+
+
+# Reference: class fusion by splitting each class's cycle multiset among the
+# factors, one sub-multiset per factor degree. The oracle walked these
+# splits before it read every class off a tuple of subclasses.
+def _sub_multisets(counts, target):
+    parts = sorted(counts)
+
+    def rec(idx, remaining):
+        if remaining == 0:
+            yield {}
+            return
+        if idx == len(parts):
+            return
+        part = parts[idx]
+        for take in range(min(counts[part], remaining // part) + 1):
+            for rest in rec(idx + 1, remaining - take * part):
+                yield {**rest, part: take} if take else rest
+
+    yield from rec(0, target)
+
+
+def _class_splits(counts, degrees):
+    if len(degrees) == 1:
+        if sum(p * c for p, c in counts.items()) == degrees[0]:
+            yield (counts,)
+        return
+    for sub in _sub_multisets(counts, degrees[0]):
+        remaining = {p: c - sub.get(p, 0) for p, c in counts.items() if c - sub.get(p, 0) > 0}
+        for tail in _class_splits(remaining, degrees[1:]):
+            yield (sub, *tail)
+
+
+def _counts_to_class(counts):
+    return tuple(part for part in sorted(counts, reverse=True) for _ in range(counts[part]))
+
+
+def _split_fusion(sub_degrees):
+    table = []
+    for cls in all_diagrams(sum(sub_degrees)):
+        terms = Counter()
+        for split in _class_splits(dict(Counter(cls)), sub_degrees):
+            subclasses = tuple(_counts_to_class(s) for s in split)
+            z = prod(centralizer_order(sc) for sc in subclasses)
+            terms[centralizer_order(cls) // z, subclasses] += 1
+        table.append((cls, terms))
+    return table
+
+
+def _degree_tuples(max_total, max_factors):
+    for k in range(1, max_factors + 1):
+        for degrees in product(range(max_total + 1), repeat=k):
+            if sum(degrees) <= max_total:
+                yield degrees
+
+
+def test_fusion_terms_match_the_class_split_recursion():
+    # Every degree tuple of total <= 10 with at most 4 factors, zeros included:
+    # the same classes in the same order, each with the same multiset of terms.
+    for degrees in _degree_tuples(10, 4):
+        fused = [(cls, Counter(terms)) for cls, terms in oracle._fusion(degrees)]
+        assert fused == _split_fusion(degrees), degrees
+
+
+def test_sl_count_formula_reads_the_engine_count(monkeypatch):
+    count = unipotent.count_unipotent
+
+    def off_by_one(group, orbit):
+        wrong = group.kind is unipotent.GroupKind.SL_R and orbit.first == (2, 2)
+        return count(group, orbit) + wrong
+
+    monkeypatch.setattr(unipotent, "count_unipotent", off_by_one)
+    report = {(e["check"], e["instance"]): e for e in run_checks(4)}
+    entry = report["sl-count-formula", "n=4"]
+    assert entry["actual"] == "1 mismatches; first: 2,2"
+    assert not entry["pass"]
+    assert report["sl-count-formula", "n=3"]["pass"]

@@ -14,9 +14,20 @@ from unipcount.symreps import (
     _strip_additions,
     centralizer_order,
     character_table,
-    inner_product,
     irrep_dimension,
 )
+
+
+# Reference: the class-function inner product, (1/n!) times the sum over
+# classes of class size * f * g. The oracle instead pairs characters by
+# integer sums (oracle._pairings) and divides only where it must.
+def inner_product(f, g):
+    n = f.degree
+    total = sum(
+        factorial(n) // centralizer_order(mu) * f.values[mu] * g.values[mu]
+        for mu in all_diagrams(n)
+    )
+    return Fraction(total, factorial(n))
 
 
 def trivial_character(n):
@@ -80,16 +91,26 @@ def test_regular_character_decomposition():
             assert inner_product(irreducible_character(lam), reg) == irrep_dimension(lam)
 
 
-def test_inner_product_degree_mismatch():
-    with pytest.raises(DegreeMismatchError):
-        inner_product(trivial_character(2), trivial_character(3))
-
-
 def test_class_function_must_cover_all_classes():
     with pytest.raises(DegreeMismatchError):
         ClassFunction(2, {(2,): 1})
     with pytest.raises(DegreeMismatchError):
         ClassFunction(2, {(2,): 1, (1, 1): 1, (3,): 1})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{(2,): 0.5, (1, 1): 1.9}, {(2,): "1", (1, 1): 1}, {(2,): 1, (1, 1): 2.5}],
+)
+def test_class_function_refuses_values_that_are_not_whole(values):
+    with pytest.raises(DegreeMismatchError, match="whole numbers"):
+        ClassFunction(2, values)
+
+
+def test_class_function_coerces_whole_floats():
+    cf = ClassFunction(2, {(2,): 1.0, (1, 1): -2.0})
+    assert cf.values == {(2,): 1, (1, 1): -2}
+    assert all(type(v) is int for v in cf.values.values())
 
 
 def test_tensor_with_sign_transposes_label():
