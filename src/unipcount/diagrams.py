@@ -6,11 +6,11 @@ All values are immutable; a diagram is a weakly decreasing tuple of positive
 row lengths, with () the empty diagram.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidPartitionError
+from .errors import InvalidPartitionError, whole_numbers
 
 Diagram = tuple[int, ...]
 
@@ -22,8 +22,8 @@ def make_diagram(parts: Iterable[int]) -> Diagram:
     that are not whole numbers rather than truncated; 2.0 coerces to 2.
     """
     given = tuple(parts)
-    rows = tuple(map(int, given))
-    if rows != given:
+    rows = whole_numbers(given)
+    if rows is None:
         raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
     rows = tuple(sorted(rows, reverse=True))
     if rows and rows[-1] < 1:
@@ -37,11 +37,23 @@ def check_diagram(d: Iterable[int]) -> Diagram:
     """Validate an already-canonical diagram (weakly decreasing, positive).
 
     Whole numbers such as 2.0 coerce to int; any other entry (2.7, "2") is
-    rejected rather than truncated.
+    rejected rather than truncated. A process checks each distinct diagram
+    once, up to a bounded cache.
     """
     given = tuple(d)
-    rows = tuple(map(int, given))
-    if rows != given:
+    try:
+        return _checked(given)
+    except TypeError:  # an unhashable row misses the cache, not the check
+        return _checked.__wrapped__(given)
+
+
+# Bounded so that a long-lived process fed ever new diagrams stays small. A
+# hit is exact: equal tuples of ints, whole floats and bools hash alike and
+# get the same all-int result. A failed check raises and is not cached.
+@lru_cache(maxsize=1 << 14)
+def _checked(given: tuple) -> Diagram:
+    rows = whole_numbers(given)
+    if rows is None:
         raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
     if rows and min(rows) < 1:
         raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types and the whole-number test shared across the engine."""
 
 
 class EngineError(Exception):
@@ -23,3 +23,14 @@ class UnsupportedGroupError(EngineError):
 
 class OracleBoundError(EngineError):
     """A brute-force oracle was asked to exceed its configured bound."""
+
+
+def whole_numbers(given: tuple) -> tuple[int, ...] | None:
+    """The entries of given as ints, or None unless every one is a whole
+    number: 2.0 and True are, while 2.7, "2", "x", nan, inf and None are
+    not, so a caller refuses them rather than truncating them."""
+    try:
+        whole = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == given else None

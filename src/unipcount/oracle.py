@@ -28,7 +28,7 @@ from .diagrams import (
     row_union,
     transpose,
 )
-from .errors import DegreeMismatchError, OracleBoundError
+from .errors import DegreeMismatchError, OracleBoundError, whole_numbers
 from .symreps import ClassFunction, centralizer_order, character_table, irrep_dimension
 
 MATCHINGS_BOUND = 4
@@ -116,8 +116,8 @@ def induced_character(
     class-fusion formula. Its weights are the integer indices of the subgroup
     centralizers C_H(h) in C_G(h), taken once per degree tuple."""
     given = tuple(sub_degrees)
-    sub_degrees = tuple(map(int, given))
-    if sub_degrees != given:
+    sub_degrees = whole_numbers(given)
+    if sub_degrees is None:
         raise DegreeMismatchError(f"factor degrees must be whole numbers: {given}")
     if len(sub_degrees) != len(sub_characters) or not sub_degrees:
         raise DegreeMismatchError("one class function per factor is required")

@@ -17,7 +17,7 @@ from math import factorial, prod
 from pathlib import Path
 
 from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transpose
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, whole_numbers
 
 IrrepLabel = Diagram
 
@@ -102,10 +102,10 @@ class ClassFunction:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        given = list(self.values.values())
-        whole = list(map(int, given))
-        if whole != given:
-            bad = next(v for v, w in zip(given, whole) if v != w)
+        given = tuple(self.values.values())
+        whole = whole_numbers(given)
+        if whole is None:
+            bad = next(v for v in given if whole_numbers((v,)) is None)
             raise DegreeMismatchError(f"class function values must be whole numbers, got {bad!r}")
         clean = dict(zip(map(check_diagram, self.values), whole))
         if set(clean) != set(all_diagrams(self.degree)):

@@ -18,7 +18,12 @@ from .diagrams import (
     format_diagram,
     row_profile,
 )
-from .errors import DegreeMismatchError, ShapeMismatchError, UnsupportedGroupError
+from .errors import (
+    DegreeMismatchError,
+    ShapeMismatchError,
+    UnsupportedGroupError,
+    whole_numbers,
+)
 from .symreps import irrep_dimension
 
 ModuleKey = tuple[Diagram, ...]
@@ -41,31 +46,31 @@ class ModuleDecomp:
         mults: Mapping[ModuleKey, int] | Iterable[tuple[ModuleKey, int]] = (),
     ) -> None:
         given = tuple(shape)
-        self.shape = tuple(map(int, given))
-        if self.shape != given:
+        self.shape = whole_numbers(given)
+        if self.shape is None:
             raise ShapeMismatchError(f"factor degrees must be whole numbers: {given}")
         if any(s < 0 for s in self.shape):
             raise ShapeMismatchError(f"factor degrees must be non-negative: {self.shape}")
         items = mults.items() if isinstance(mults, Mapping) else mults
+        pairs = [(self._check_key(key), m) for key, m in items]
+        raw = tuple(m for _, m in pairs)
+        counts = whole_numbers(raw)
+        if counts is None:
+            bad = next(m for m in raw if whole_numbers((m,)) is None)
+            raise ShapeMismatchError(f"multiplicities must be whole numbers, got {bad!r}")
+        if min(counts, default=0) < 0:
+            bad = next(m for m in counts if m < 0)
+            raise ShapeMismatchError(f"multiplicities must be non-negative, got {bad}")
         clean: dict[ModuleKey, int] = {}
-        for key, m in items:
-            key = self._check_key(key)
-            whole = int(m)
-            if whole != m:
-                raise ShapeMismatchError(f"multiplicities must be whole numbers, got {m!r}")
-            m = whole
-            if m < 0:
-                raise ShapeMismatchError(f"multiplicities must be non-negative, got {m}")
+        for (key, _), m in zip(pairs, counts):
             if m:
                 clean[key] = clean.get(key, 0) + m
         self.mults = clean
         self.parts = {}
 
     def _check_key(self, key: Iterable[Iterable[int]]) -> ModuleKey:
-        key = tuple(check_diagram(d) for d in key)
-        if len(key) != len(self.shape) or any(
-            sum(d) != s for d, s in zip(key, self.shape)
-        ):
+        key = tuple(map(check_diagram, key))
+        if tuple(map(sum, key)) != self.shape:
             raise ShapeMismatchError(f"key {key} does not match shape {self.shape}")
         return key
 
@@ -81,7 +86,7 @@ class ModuleDecomp:
 
     def entries(self) -> tuple[tuple[ModuleKey, int], ...]:
         """Entries with keys in decreasing lexicographic order."""
-        return tuple((key, self.mults[key]) for key in sorted(self.mults, reverse=True))
+        return tuple(sorted(self.mults.items(), reverse=True))
 
     def __add__(self, other: "ModuleDecomp") -> "ModuleDecomp":
         if not isinstance(other, ModuleDecomp):
@@ -124,19 +129,13 @@ class ModuleDecomp:
         return {
             "shape": list(self.shape),
             "mults": [
-                {"key": [list(d) for d in key], "m": m} for key, m in self.entries()
+                {"key": list(map(list, key)), "m": m} for key, m in self.entries()
             ],
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModuleDecomp":
-        return cls(
-            tuple(obj["shape"]),
-            [
-                (tuple(tuple(d) for d in entry["key"]), entry["m"])
-                for entry in obj["mults"]
-            ],
-        )
+        return cls(obj["shape"], [(entry["key"], entry["m"]) for entry in obj["mults"]])
 
 
 def _built(shape: tuple[int, ...], mults: dict[ModuleKey, int]) -> ModuleDecomp:

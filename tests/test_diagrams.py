@@ -1,7 +1,10 @@
+from operator import lt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unipcount import diagrams
 from unipcount.diagrams import (
     all_diagrams,
     check_diagram,
@@ -39,6 +42,17 @@ def test_rows_that_are_not_whole_numbers_are_rejected_not_truncated(parts):
         check_diagram(parts)
     with pytest.raises(InvalidPartitionError, match="whole numbers"):
         make_diagram(parts)
+
+
+@pytest.mark.parametrize("row", ["x", float("nan"), float("inf"), None, [1]])
+def test_rows_int_cannot_convert_raise_the_engine_error(row):
+    # int() raises ValueError, OverflowError or TypeError on these, and an
+    # unhashable row such as [1] cannot even be looked up in the cache.
+    for parts in [(row,), (2, row)]:
+        with pytest.raises(InvalidPartitionError, match="whole numbers"):
+            check_diagram(parts)
+        with pytest.raises(InvalidPartitionError, match="whole numbers"):
+            make_diagram(parts)
 
 
 def test_whole_number_rows_coerce_to_int():
@@ -155,3 +169,75 @@ def test_orbit_text_roundtrip():
         parse_orbit("a,b")
     with pytest.raises(InvalidPartitionError):
         parse_orbit("")
+
+
+# Reference: check_diagram as it was before its results were cached, with
+# the same whole-number test (unipcount.errors.whole_numbers).
+def reference_check_diagram(d):
+    given = tuple(d)
+    try:
+        rows = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows != given:
+        raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
+    if rows and min(rows) < 1:
+        raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
+    if any(map(lt, rows, rows[1:])):
+        raise InvalidPartitionError(f"row lengths must be weakly decreasing: {rows}")
+    return rows
+
+
+def _outcome(check, d):
+    try:
+        return ("ok", check(d))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def assert_matches_reference(d):
+    got = _outcome(check_diagram, d)
+    assert got == _outcome(reference_check_diagram, d), d
+    if got[0] == "ok":
+        assert all(type(p) is int for p in got[1]), d
+
+
+rows = st.one_of(
+    st.integers(-1, 4),
+    st.integers(-1, 4).map(float),
+    st.sampled_from([0.5, 2.7, -1.5]),
+    st.booleans(),
+    st.sampled_from(["2", "1", "x"]),
+)
+
+
+# Sequences drawn from a small pool of row tuples, so that they repeat.
+sequences = st.lists(st.lists(rows, max_size=4).map(tuple), min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24)
+)
+
+
+@given(sequences)
+def test_cached_check_matches_the_uncached_reference_in_any_order(sequence):
+    diagrams._checked.cache_clear()
+    for d in sequence:
+        assert_matches_reference(d)
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [[(2.0, 1), (2, 1)], [(2, 1), (2.0, 1)], [(True, 1.0), (1, 1)], [(2.0, 1.0), (2.5, 1)]],
+)
+def test_a_cache_hit_is_the_all_int_result_of_a_fresh_check(sequence):
+    diagrams._checked.cache_clear()
+    for d in sequence:
+        assert_matches_reference(d)
+
+
+def test_failed_checks_are_not_cached_and_the_cache_is_bounded():
+    diagrams._checked.cache_clear()
+    for d in [(1, 2), (0,), ("2",), (2.5,)]:
+        with pytest.raises(InvalidPartitionError):
+            check_diagram(d)
+    assert diagrams._checked.cache_info().currsize == 0
+    assert diagrams._checked.cache_info().maxsize == 1 << 14

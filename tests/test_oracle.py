@@ -231,6 +231,9 @@ def test_induced_character_refuses_degrees_that_are_not_whole():
         induced_character((1.5, 1), (one, one))
     with pytest.raises(DegreeMismatchError, match="whole numbers"):
         induced_character(("1", 1), (one, one))
+    for degree in ["x", float("nan"), float("inf"), None]:
+        with pytest.raises(DegreeMismatchError, match="whole numbers"):
+            induced_character((degree, 1), (one, one))
     assert induced_character((1.0, 1), (one, one)) == induced_character((1, 1), (one, one))
 
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -105,6 +106,12 @@ def test_class_function_must_cover_all_classes():
 def test_class_function_refuses_values_that_are_not_whole(values):
     with pytest.raises(DegreeMismatchError, match="whole numbers"):
         ClassFunction(2, values)
+
+
+@pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), None, [1]])
+def test_class_function_values_int_cannot_convert_raise_degree_mismatch(value):
+    with pytest.raises(DegreeMismatchError, match="whole numbers, got " + re.escape(repr(value))):
+        ClassFunction(2, {(2,): 1, (1, 1): value})
 
 
 def test_class_function_coerces_whole_floats():

@@ -327,6 +327,14 @@ def test_orbit_spec_refuses_rows_that_are_not_whole_numbers():
     assert count_unipotent(make_group("gl-r", n=3), OrbitSpec((2.0, 1.0))) == 4
 
 
+@pytest.mark.parametrize("row", ["x", float("nan"), float("inf"), None, [1]])
+def test_orbit_spec_rows_int_cannot_convert_raise_invalid_partition(row):
+    with pytest.raises(InvalidPartitionError, match="whole numbers"):
+        OrbitSpec((row,))
+    with pytest.raises(InvalidPartitionError, match="whole numbers"):
+        OrbitSpec((2, 1), (2, row))
+
+
 def test_real_queries_check_the_diagram_only_in_orbit_spec(monkeypatch):
     sl_r, gl_r = make_group("sl-r", n=4), make_group("gl-r", n=4)
     spec = OrbitSpec((2, 2))

@@ -1,10 +1,12 @@
-from math import comb, factorial
+import re
+from math import comb, factorial, inf, nan
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipcount.diagrams import all_diagrams, coset_signature
+from unipcount import diagrams
+from unipcount.diagrams import CosetSignature, all_diagrams, coset_signature
 from unipcount.errors import (
     DegreeMismatchError,
     InvalidPartitionError,
@@ -80,6 +82,32 @@ def test_keys_validated_against_shape():
         md((2,), {((3,),): 1})
     with pytest.raises(ShapeMismatchError):
         md((2,), {((2,), (1,)): 1})
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (),
+        ((2,),),
+        ((2,), (1,), ()),
+        ((2,), (1,), (1,)),
+        ((1,), (2,)),
+        ((1, 1), (2,)),
+        ((2, 1), ()),
+    ],
+)
+def test_keys_of_the_wrong_length_or_sizes_name_key_and_shape(key):
+    # One comparison of the diagram sizes with the shape catches a wrong
+    # length too; construction and lookup report it the same way.
+    message = r"^key .* does not match shape \(2, 1\)$"
+    with pytest.raises(ShapeMismatchError, match=message):
+        md((2, 1), {key: 1})
+    with pytest.raises(ShapeMismatchError, match=message):
+        md((2, 1), [(key, 0)])
+    with pytest.raises(ShapeMismatchError, match=message):
+        md((2, 1), {((2,), (1,)): 1}).multiplicity(key)
+    with pytest.raises(ShapeMismatchError, match=r"^key .* does not match shape \(\)$"):
+        ModuleDecomp(()).multiplicity(key or ((1,),))
 
 
 def test_matchings_module_small():
@@ -294,3 +322,58 @@ def test_json_refuses_entries_that_are_not_whole_numbers():
     whole = ModuleDecomp.from_json_obj({"shape": [2.0], "mults": [{"key": [[2.0]], "m": 1.0}]})
     assert whole == md((2,), {((2,),): 1})
     assert type(whole.shape[0]) is int and type(whole.mults[((2,),)]) is int
+
+
+NOT_WHOLE = ["x", nan, inf, None, [1], "2", 2.5]
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE)
+def test_shape_entries_that_are_not_whole_raise_shape_mismatch(value):
+    with pytest.raises(ShapeMismatchError, match="factor degrees must be whole numbers"):
+        ModuleDecomp((2, value))
+    with pytest.raises(ShapeMismatchError, match="factor degrees must be whole numbers"):
+        ModuleDecomp.from_json_obj({"shape": [value], "mults": []})
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE)
+def test_multiplicities_that_are_not_whole_raise_shape_mismatch(value):
+    message = "multiplicities must be whole numbers, got " + re.escape(repr(value))
+    with pytest.raises(ShapeMismatchError, match=message):
+        ModuleDecomp((2,), {((2,),): value})
+    with pytest.raises(ShapeMismatchError, match=message):
+        ModuleDecomp((2,), [(((2,),), 1), (((1, 1),), value)])
+    with pytest.raises(ShapeMismatchError, match=message):
+        ModuleDecomp.from_json_obj({"shape": [2], "mults": [{"key": [[2]], "m": value}]})
+
+
+def test_negative_multiplicities_name_the_first_one():
+    with pytest.raises(ShapeMismatchError, match="non-negative, got -1$"):
+        md((2,), [(((2,),), 1), (((1, 1),), -1), (((2,),), -3)])
+
+
+def test_reading_a_module_checks_each_distinct_diagram_once():
+    obj = coh_gl_complex(CosetSignature(4, 4)).to_json_obj()
+    diagrams._checked.cache_clear()
+    module = ModuleDecomp.from_json_obj(obj)
+    # 25 keys of four diagrams each, drawn from the p(4) = 5 partitions of 4.
+    assert len(module.mults) == 25
+    assert diagrams._checked.cache_info().misses == 5
+
+
+def _coh_modules(max_n):
+    for n in range(max_n + 1):
+        for n_h in range(n + 1):
+            sig = CosetSignature(n_h, n - n_h)
+            yield coh_gl_complex(sig)
+            yield coh_sl_complex(sig)
+            for p in range(n + 1):
+                yield coh_su(p, n - p, sig)
+                yield coh_u_cover(p, n - p, sig)
+
+
+def test_every_small_coh_module_reads_back_from_json_in_canonical_order():
+    for module in _coh_modules(8):
+        assert ModuleDecomp.from_json_obj(module.to_json_obj()) == module
+        entries = module.entries()
+        assert [key for key, _ in entries] == sorted(module.mults, reverse=True)
+        assert all(module.mults[key] == m for key, m in entries)
