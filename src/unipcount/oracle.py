@@ -12,7 +12,7 @@ approximating.
 from functools import cache
 from itertools import product
 from math import factorial, prod
-from operator import mul
+from operator import gt, mul
 from typing import Iterator, Sequence
 
 from . import unipotent, weylmodules
@@ -33,6 +33,7 @@ from .symreps import ClassFunction, centralizer_order, character_table, irrep_di
 
 MATCHINGS_BOUND = 4
 ORTHOGONALITY_BOUND = 8
+_SU_AND_COVER = (unipotent.GroupKind.SU, unipotent.GroupKind.U_COVER)
 
 
 def all_matchings(r: int) -> list[frozenset[frozenset[int]]]:
@@ -62,14 +63,6 @@ def class_representative(cls: Diagram) -> dict[int, int]:
             perm[x] = cycle[(i + 1) % part]
         start += part
     return perm
-
-
-@cache
-def irreducible_character(label: Diagram) -> ClassFunction:
-    """The irreducible character as a class function, built once per label.
-    Callers share the result and must not mutate its values."""
-    label = check_diagram(label)
-    return ClassFunction(sum(label), dict(character_table(sum(label))[label]))
 
 
 def matchings_character(r: int, bound: int = MATCHINGS_BOUND) -> ClassFunction:
@@ -126,15 +119,20 @@ def induced_character(
             raise DegreeMismatchError(
                 f"factor degree {d} does not match class function degree {f.degree}"
             )
-    subvalues = [f.values for f in sub_characters]
-    values = {
+    values = _induce(sub_degrees, [f.values for f in sub_characters])
+    return ClassFunction(sum(sub_degrees), values)
+
+
+def _induce(sub_degrees: tuple[int, ...], subvalues: Sequence[dict]) -> dict[Diagram, int]:
+    """The fusion sum: the induced character's value at every class, from
+    the values of one character per factor, keyed by class."""
+    return {
         cls: sum(
             weight * prod(v[sc] for v, sc in zip(subvalues, subclasses))
             for weight, subclasses in terms
         )
         for cls, terms in _fusion(sub_degrees)
     }
-    return ClassFunction(sum(sub_degrees), values)
 
 
 def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
@@ -153,8 +151,9 @@ def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
 
 @cache
 def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
+    # Zero unless both lam and mu fit inside nu (Macdonald I.(5.16)-(5.17), I.9).
     nrows = len(nu)
-    if len(lam) > nrows or any(lam[i] > nu[i] for i in range(len(lam))):
+    if len(lam) > nrows or len(mu) > nrows or any(map(gt, lam, nu)) or any(map(gt, mu, nu)):
         return 0
     inner = tuple(lam[i] if i < len(lam) else 0 for i in range(nrows))
     # Reverse reading order: rows top to bottom, cells right to left. Both
@@ -195,12 +194,12 @@ def _class_sizes(n: int) -> tuple[tuple[Diagram, int], ...]:
     return tuple((mu, nfact // centralizer_order(mu)) for mu in all_diagrams(n))
 
 
-def _pairings(cf: ClassFunction) -> Iterator[tuple[Diagram, int]]:
-    """(lam, n! times the multiplicity of the irreducible lam in cf) for every
-    label lam: the integer sum over classes of (n! / z_mu) * cf(mu) *
-    chi^lam(mu), with cf weighted by the class sizes once."""
-    weighted = [size * cf.values[mu] for mu, size in _class_sizes(cf.degree)]
-    for lam, row in character_table(cf.degree).items():
+def _pairings(n: int, values: dict[Diagram, int]) -> Iterator[tuple[Diagram, int]]:
+    """(lam, n! times the multiplicity of chi^lam in the degree-n class
+    function with these values) for every label lam: the integer sum over
+    classes of (n! / z_mu) * values[mu] * chi^lam(mu), weighted once."""
+    weighted = [size * values[mu] for mu, size in _class_sizes(n)]
+    for lam, row in character_table(n).items():
         yield lam, sum(map(mul, weighted, row.values()))
 
 
@@ -209,7 +208,7 @@ def decompose(cf: ClassFunction) -> dict[Diagram, int]:
     products; multiplicities must come out integral."""
     nfact = factorial(cf.degree)
     out = {}
-    for lam, pairing in _pairings(cf):
+    for lam, pairing in _pairings(cf.degree, cf.values):
         mult, rem = divmod(pairing, nfact)
         assert rem == 0
         if mult:
@@ -255,16 +254,18 @@ def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
     """Whether the SU(p, q) count and the double-cover count agree at the
     orbit: the cell multiplicities in the two built modules, and the direct
     counts of both groups."""
-    su = unipotent.make_group(unipotent.GroupKind.SU, p=p, q=q)
-    cover = unipotent.make_group(unipotent.GroupKind.U_COVER, p=p, q=q)
+    groups = [unipotent.make_group(kind, p=p, q=q) for kind in _SU_AND_COVER]
     spec = unipotent.OrbitSpec(orbit)
-    cell = unipotent.cell_rep(su, spec)
-    return (
-        unipotent.coherent_module(su, spec).multiplicity(cell)
-        == unipotent.coherent_module(cover, spec).multiplicity(cell)
-        == unipotent.count_unipotent(su, spec)
-        == unipotent.count_unipotent(cover, spec)
-    )
+    modules = [unipotent.coherent_module(g, spec) for g in groups]
+    return _counts_agree(groups, modules, spec, unipotent.cell_rep(groups[0], spec))
+
+
+def _counts_agree(groups, modules, spec: unipotent.OrbitSpec, cell: tuple) -> bool:
+    """Whether the SU and double-cover modules hold the cell as often as each
+    other and as the direct count of each group."""
+    counts = [m.multiplicity(cell) for m in modules]
+    counts += [unipotent.count_unipotent(g, spec) for g in groups]
+    return len(set(counts)) == 1
 
 
 def run_checks(max_size: int = 8) -> list[dict]:
@@ -273,6 +274,9 @@ def run_checks(max_size: int = 8) -> list[dict]:
     Returns one report entry per (check, instance), each a dict with keys
     check, instance, expected, actual, pass. Instances aggregate the inner
     loops of a sweep; a failing instance reports its first mismatch.
+    Counting-equality builds each SU and double-cover module once per
+    (p, q, coset signature); lr-frobenius induces from character table rows,
+    and _lr skips a lam or mu that does not fit inside nu.
     """
     report: list[dict] = []
 
@@ -343,24 +347,22 @@ def run_checks(max_size: int = 8) -> list[dict]:
         nfact = factorial(total)
         for a in range(0, total + 1):
             b = total - a
-            for lam in all_diagrams(a):
-                for mu in all_diagrams(b):
-                    induced = induced_character(
-                        (a, b), (irreducible_character(lam), irreducible_character(mu))
-                    )
-                    # The labels come from all_diagrams, so _lr needs no checks.
-                    for nu, pairing in _pairings(induced):
-                        lr = _lr(lam, mu, nu)
-                        if pairing != lr * nfact:
-                            # Imported only on a mismatch: a passing run never
-                            # pays for fractions.
-                            import fractions
+            table_a, table_b = character_table(a), character_table(b)
+            for lam, mu in product(table_a, table_b):
+                induced = _induce((a, b), (table_a[lam], table_b[mu]))
+                # The labels come from all_diagrams, so _lr needs no checks.
+                for nu, pairing in _pairings(total, induced):
+                    lr = _lr(lam, mu, nu)
+                    if pairing != lr * nfact:
+                        # Imported only on a mismatch: a passing run never
+                        # pays for fractions.
+                        import fractions
 
-                            frob = fractions.Fraction(pairing, nfact)
-                            bad.append(
-                                f"({diagram_text(lam)})*({diagram_text(mu)})"
-                                f"->({diagram_text(nu)}): {frob} vs {lr}"
-                            )
+                        frob = fractions.Fraction(pairing, nfact)
+                        bad.append(
+                            f"({diagram_text(lam)})*({diagram_text(mu)})"
+                            f"->({diagram_text(nu)}): {frob} vs {lr}"
+                        )
         entry("lr-frobenius", f"|lam|+|mu|={total}", "0 mismatches", mismatch_summary(bad))
 
     for n in range(1, max_size + 1):
@@ -394,9 +396,20 @@ def run_checks(max_size: int = 8) -> list[dict]:
 
     for n in range(1, max_size + 1):
         bad = []
+        groups = [
+            [unipotent.make_group(kind, p=p, q=n - p) for kind in _SU_AND_COVER]
+            for p in range(0, n + 1)
+        ]
+        # A module depends only on (p, q, coset signature): build each once.
+        modules: dict = {}
         for orbit in all_diagrams(n):
-            for p in range(0, n + 1):
-                if not verify_counting_equality(p, n - p, orbit):
+            spec = unipotent.OrbitSpec(orbit)
+            cell = unipotent.cell_rep(groups[0][0], spec)
+            sig = coset_signature(orbit)
+            for p, pair in enumerate(groups):
+                if (p, sig) not in modules:
+                    modules[p, sig] = [unipotent.coherent_module(g, spec) for g in pair]
+                if not _counts_agree(pair, modules[p, sig], spec, cell):
                     bad.append(f"(p,q)=({p},{n - p}) orbit={diagram_text(orbit)}")
         entry("counting-equality", f"n={n}", "0 mismatches", mismatch_summary(bad))
 

@@ -18,7 +18,7 @@ from .diagrams import (
     row_profile,
     transpose,
 )
-from .errors import DegreeMismatchError, UnsupportedGroupError
+from .errors import DegreeMismatchError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
     block_multiplicity,
@@ -66,12 +66,22 @@ def make_group(
 
     Hermitian kinds take (p, q) with p, q >= 0 and p + q >= 1 (degenerate
     compact signatures are allowed); the other kinds take n, with n >= 2 for
-    the special linear kinds and even n for the quaternionic ones.
+    the special linear kinds and even n for the quaternionic ones. An
+    unknown kind, or an n, p or q that is not a whole number, is refused.
     """
-    kind = GroupKind(kind)
+    try:
+        kind = GroupKind(kind)
+    except ValueError:
+        raise UnsupportedGroupError(f"unknown group kind {kind!r}") from None
     if kind in HERMITIAN_KINDS:
         if p is None or q is None:
             raise UnsupportedGroupError(f"kind {kind.value} requires p and q")
+        # Only a value that is not an int pays for whole_numbers.
+        if type(p) is not int or type(q) is not int:
+            whole = whole_numbers((p, q))
+            if whole is None:
+                raise UnsupportedGroupError(f"kind {kind.value} takes whole p, q, got {p!r}, {q!r}")
+            p, q = whole
         if p < 0 or q < 0 or p + q < 1:
             raise UnsupportedGroupError(
                 f"kind {kind.value} requires p, q >= 0 with p + q >= 1, got ({p}, {q})"
@@ -83,6 +93,10 @@ def make_group(
         raise UnsupportedGroupError(f"kind {kind.value} does not take p and q")
     if n is None:
         raise UnsupportedGroupError(f"kind {kind.value} requires n")
+    if type(n) is not int:
+        if whole_numbers((n,)) is None:
+            raise UnsupportedGroupError(f"kind {kind.value} takes a whole n, got {n!r}")
+        n = int(n)
     minimum = 2 if kind in (GroupKind.SL_R, GroupKind.SL_C, GroupKind.SL_H, GroupKind.GL_H) else 1
     if n < minimum:
         raise UnsupportedGroupError(f"kind {kind.value} requires n >= {minimum}, got {n}")

@@ -10,11 +10,11 @@ from math import factorial, prod
 
 import pytest
 
+from reference import irreducible_character
 from unipcount.diagrams import all_diagrams, coset_signature, row_profile
 from unipcount.oracle import (
     decompose,
     induced_character,
-    irreducible_character,
     lr_coefficient,
     matchings_character,
     orthogonality_check,

@@ -1,18 +1,21 @@
+import json
 from collections import Counter
+from functools import cache
+from hashlib import sha256
 from itertools import product
 from math import factorial, prod
 
 import pytest
 
-from unipcount import oracle, unipotent
-from unipcount.diagrams import all_diagrams, row_profile
+from reference import irreducible_character
+from unipcount import oracle, unipotent, weylmodules
+from unipcount.diagrams import all_diagrams, coset_signature, row_profile
 from unipcount.errors import DegreeMismatchError, OracleBoundError
 from unipcount.oracle import (
     all_matchings,
     class_representative,
     decompose,
     induced_character,
-    irreducible_character,
     lr_coefficient,
     matchings_character,
     orthogonality_check,
@@ -312,3 +315,125 @@ def test_sl_count_formula_reads_the_engine_count(monkeypatch):
     assert entry["actual"] == "1 mismatches; first: 2,2"
     assert not entry["pass"]
     assert report["sl-count-formula", "n=3"]["pass"]
+
+
+# SHA-256 of the run_checks(m) reports as JSON, and of the stdout of
+# `verify --max-size 8 --format json`. How a sweep shares or orders its work
+# must not change a byte of what it reports; bench/golden.json pins only
+# sizes 1 to 6.
+REPORT_SHA256 = {
+    8: "4c99c652264a993f432f9a9739b8a0079a2d956518af927e0818ea3f2d241348",
+    10: "4c32b67b601d8e2f6645aa9cd6c0c57b8825ccbf2b543b7d44c6f6bdeec89c79",
+}
+VERIFY_8_JSON_SHA256 = "96e2aa640c23763ad108179d2efb398ae4dcfb93c7ce3a3806540e3a5250197b"
+
+
+def test_run_checks_reports_match_their_recorded_digests():
+    for max_size, digest in REPORT_SHA256.items():
+        report = json.dumps(run_checks(max_size))
+        assert sha256(report.encode()).hexdigest() == digest, max_size
+
+
+def test_verify_json_stdout_matches_its_recorded_digest(cli_runner):
+    code, out, err = cli_runner(["verify", "--max-size", "8", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == VERIFY_8_JSON_SHA256
+
+
+def test_counting_equality_builds_each_su_module_once(monkeypatch):
+    # A module depends only on (p, q, coset signature), so run_checks(8)
+    # builds 154 SU modules, one per such triple, where building one per
+    # (p, q, orbit) would take 482.
+    built = Counter()
+    coh_su = weylmodules.coh_su
+
+    def counted(p, q, sig):
+        built[p, q, sig] += 1
+        return coh_su(p, q, sig)
+
+    monkeypatch.setattr(weylmodules, "coh_su", counted)
+    monkeypatch.setattr(unipotent, "coh_su", counted)
+    run_checks(8)
+    expected = {
+        (p, n - p, coset_signature(orbit))
+        for n in range(1, 9)
+        for orbit in all_diagrams(n)
+        for p in range(n + 1)
+    }
+    assert built == Counter(expected)
+    assert sum(built.values()) == 154
+
+
+# Reference: the tableau count of oracle._lr as it was before it returned 0
+# for mu not inside nu; it tests only whether lam fits inside nu.
+@cache
+def unpruned_lr(lam, mu, nu):
+    nrows = len(nu)
+    if len(lam) > nrows or any(lam[i] > nu[i] for i in range(len(lam))):
+        return 0
+    inner = tuple(lam[i] if i < len(lam) else 0 for i in range(nrows))
+    cells = [(i, j) for i in range(nrows) for j in range(nu[i] - 1, inner[i] - 1, -1)]
+    nvals = len(mu)
+    counts = [0] * nvals
+    filling = {}
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        lo = 1
+        if i > 0 and j >= inner[i - 1]:
+            lo = filling[i - 1, j] + 1
+        hi = filling[i, j + 1] if j + 1 < nu[i] else nvals
+        total = 0
+        for v in range(lo, hi + 1):
+            if counts[v - 1] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v - 2] <= counts[v - 1]:
+                continue
+            counts[v - 1] += 1
+            filling[i, j] = v
+            total += fill(idx + 1)
+            counts[v - 1] -= 1
+        return total
+
+    return fill(0)
+
+
+def lr_triples(max_total):
+    for total in range(max_total + 1):
+        for a in range(total + 1):
+            for lam in all_diagrams(a):
+                for mu in all_diagrams(total - a):
+                    for nu in all_diagrams(total):
+                        yield lam, mu, nu
+
+
+def lr_mismatches():
+    return [t for t in lr_triples(7) if lr_coefficient(*t) != unpruned_lr(*t)]
+
+
+def test_lr_pruning_changes_no_coefficient():
+    assert lr_mismatches() == []
+    # The new test has work to do: in 913 of the 2,760 triples lam fits
+    # inside nu but mu does not.
+    def fits(d, nu):
+        return len(d) <= len(nu) and all(x <= y for x, y in zip(d, nu))
+
+    assert sum(fits(lam, nu) and not fits(mu, nu) for lam, mu, nu in lr_triples(7)) == 913
+
+
+def test_lr_coefficient_is_symmetric_in_lam_and_mu():
+    for lam, mu, nu in lr_triples(7):
+        assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
+
+
+def test_lr_reference_catches_a_pruning_that_zeroes_too_much(monkeypatch):
+    pruned = oracle._lr
+
+    def off_by_one(lam, mu, nu):
+        # Also refuses a mu with as many rows as nu, which can fit.
+        return 0 if len(mu) >= len(nu) else pruned(lam, mu, nu)
+
+    monkeypatch.setattr(oracle, "_lr", off_by_one)
+    assert ((1,), (1,), (2,)) in lr_mismatches()

@@ -52,7 +52,7 @@ def test_make_group_validation():
         make_group("sl-h", n=3)
     with pytest.raises(DegreeMismatchError):
         make_group("su", n=3, p=1, q=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedGroupError, match="unknown group kind"):
         make_group("so", n=3)
     # Groups are values: equal and hashed by their fields, and immutable.
     su = make_group("su", p=2, q=1)
@@ -60,6 +60,22 @@ def test_make_group_validation():
     assert len({su, make_group("su", p=2, q=1), make_group("gl-r", n=3)}) == 2
     with pytest.raises(AttributeError):
         su.p = 0
+
+
+def test_make_group_takes_only_whole_numbers():
+    # 2.0 and True are whole numbers and coerce to int; anything else is
+    # refused with the engine's own error instead of failing later.
+    assert make_group("su", p=2.0, q=True) == make_group("su", p=2, q=1)
+    assert type(make_group("gl-r", n=4.0).n) is int
+    for bad in [dict(p=1.5, q=1.5), dict(p="x", q=1), dict(p="2", q=1), dict(p=None, q=1)]:
+        with pytest.raises(UnsupportedGroupError):
+            make_group("su", **bad)
+    for n in [2.5, float("nan"), float("inf"), [2]]:
+        with pytest.raises(UnsupportedGroupError):
+            make_group("gl-r", n=n)
+    for kind in ["so", None, ["su"]]:
+        with pytest.raises(UnsupportedGroupError, match="unknown group kind"):
+            make_group(kind, n=3)
 
 
 def test_cell_rep_examples():
