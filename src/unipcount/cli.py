@@ -2,7 +2,8 @@
 engine, and emit deterministic tables or JSON.
 
 Exit codes: 0 on success, 1 on domain errors (size mismatch, unsupported
-kind, failed verification), 2 on usage errors.
+kind, failed verification, a cache that cannot be written), 2 on usage
+errors.
 """
 
 import argparse
@@ -11,8 +12,8 @@ import sys
 
 from .diagrams import all_diagrams, diagram_text, format_diagram, parse_orbit
 from .errors import EngineError
-from .oracle import run_checks
-from .symreps import character_table
+from .oracle import TABLE_BOUND, run_checks
+from .symreps import _table_rows, character_table
 from .unipotent import (
     COMPLEX_KINDS,
     HERMITIAN_KINDS,
@@ -172,10 +173,7 @@ def _cmd_chartable(parser, args) -> int:
             {
                 "degree": args.n,
                 "classes": [list(mu) for mu in classes],
-                "table": {
-                    diagram_text(lam): [table[lam][mu] for mu in classes]
-                    for lam in classes
-                },
+                "table": _table_rows(args.n, table),
             }
         )
         return 0
@@ -195,8 +193,8 @@ def _cmd_verify(parser, args) -> int:
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    if cache_dir:
-        for n in range(1, min(args.max_size, 8) + 1):
+    if cache_dir:  # store every table run_checks reads
+        for n in range(1, min(args.max_size, TABLE_BOUND) + 1):
             character_table(n, cache_dir=cache_dir)
     checks = run_checks(args.max_size)
     all_passed = all(c["pass"] for c in checks)
@@ -239,7 +237,7 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:  # OSError: a cache that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

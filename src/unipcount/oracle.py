@@ -33,6 +33,9 @@ from .symreps import ClassFunction, centralizer_order, character_table, irrep_di
 
 MATCHINGS_BOUND = 4
 ORTHOGONALITY_BOUND = 8
+# The largest degree whose character table run_checks reads: hook-dimension's
+# cap. Orthogonality, matchings and lr-frobenius read only tables up to 8.
+TABLE_BOUND = 10
 _SU_AND_COVER = (unipotent.GroupKind.SU, unipotent.GroupKind.U_COVER)
 
 
@@ -216,18 +219,15 @@ def decompose(cf: ClassFunction) -> dict[Diagram, int]:
     return out
 
 
-def orthogonality_check(
-    n: int, table: dict[Diagram, dict[Diagram, int]] | None = None
-) -> bool:
+def orthogonality_check(n: int) -> bool:
     """Whether both orthogonality relations hold exactly for the degree-n
-    character table (optionally a supplied one, for negative tests)."""
+    character table."""
     if n > ORTHOGONALITY_BOUND:
         raise OracleBoundError(
             f"orthogonality sweep bound exceeded: n = {n} > {ORTHOGONALITY_BOUND}"
         )
     labels = all_diagrams(n)
-    if table is None:
-        table = character_table(n)
+    table = character_table(n)
     nfact = factorial(n)
     rows = [[table[lam][mu] for mu in labels] for lam in labels]
     sizes = [size for _, size in _class_sizes(n)]
@@ -273,10 +273,9 @@ def run_checks(max_size: int = 8) -> list[dict]:
 
     Returns one report entry per (check, instance), each a dict with keys
     check, instance, expected, actual, pass. Instances aggregate the inner
-    loops of a sweep; a failing instance reports its first mismatch.
-    Counting-equality builds each SU and double-cover module once per
-    (p, q, coset signature); lr-frobenius induces from character table rows,
-    and _lr skips a lam or mu that does not fit inside nu.
+    loops of a sweep; a failing instance reports how many mismatches it
+    found and the first. Each check's sizes are written once below, capped
+    by max_size and by the check's own bound.
     """
     report: list[dict] = []
 
@@ -291,48 +290,42 @@ def run_checks(max_size: int = 8) -> list[dict]:
             }
         )
 
-    def mismatch_summary(bad: list[str]) -> str:
-        if not bad:
-            return "0 mismatches"
-        return f"{len(bad)} mismatches; first: {bad[0]}"
+    def sweep(check: str, sizes: range, mismatches, label: str = "n") -> None:
+        """One entry per size: how many mismatches(size) yields, and the first."""
+        for n in sizes:
+            bad = list(mismatches(n))
+            first = f"; first: {bad[0]}" if bad else ""
+            entry(check, f"{label}={n}", "0 mismatches", f"{len(bad)} mismatches{first}")
 
-    for n in range(0, min(max_size, 12) + 1):
-        bad = [
-            diagram_text(d)
-            for d in all_diagrams(n)
-            if transpose(transpose(d)) != d
-        ]
-        entry("transpose-involution", f"n={n}", "0 mismatches", mismatch_summary(bad))
+    def each_diagram(ok):
+        """The mismatches of a check on one diagram at a time: the text of
+        every diagram d of size n with ok(n, d) false."""
+        return lambda n: (diagram_text(d) for d in all_diagrams(n) if not ok(n, d))
 
-    for n in range(0, max_size + 1):
-        bad = []
-        for d in all_diagrams(n):
-            even, odd = even_odd_split(d)
-            if row_union(even, odd) != d:
-                bad.append(diagram_text(d))
-        entry("split-union-roundtrip", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
+    sweep(
+        "transpose-involution",
+        range(0, min(max_size, 12) + 1),
+        each_diagram(lambda n, d: transpose(transpose(d)) == d),
+    )
+    sweep(
+        "split-union-roundtrip",
+        range(0, max_size + 1),
+        each_diagram(lambda n, d: row_union(*even_odd_split(d)) == d),
+    )
     for n in range(1, min(max_size, ORTHOGONALITY_BOUND) + 1):
         entry("orthogonality", f"n={n}", True, orthogonality_check(n))
-
-    for n in range(1, min(max_size, 10) + 1):
-        identity = (1,) * n
-        bad = [
-            diagram_text(lam)
-            for lam in all_diagrams(n)
-            if character_table(n)[lam][identity] != irrep_dimension(lam)
-        ]
-        entry("hook-dimension", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
+    sweep(
+        "hook-dimension",
+        range(1, min(max_size, TABLE_BOUND) + 1),
+        each_diagram(lambda n, lam: irrep_dimension(lam) == character_table(n)[lam][(1,) * n]),
+    )
     for n in range(1, min(max_size, 10) + 1):
         total = sum(irrep_dimension(lam) ** 2 for lam in all_diagrams(n))
         entry("dimension-squares", f"n={n}", factorial(n), total)
-
     for r in range(0, min(max_size // 2, MATCHINGS_BOUND) + 1):
         closed = {key[0]: m for key, m in weylmodules.matchings_module(r).mults.items()}
         brute = decompose(matchings_character(r))
         entry("matchings-decomposition", f"r={r}", closed, brute)
-
     for r in range(0, min(max_size // 2, 5) + 1):
         expected = factorial(2 * r) // (2**r * factorial(r))
         entry(
@@ -341,88 +334,87 @@ def run_checks(max_size: int = 8) -> list[dict]:
             expected,
             weylmodules.matchings_module(r).dimension(),
         )
-
-    for total in range(1, min(max_size, 8) + 1):
-        bad = []
-        nfact = factorial(total)
-        for a in range(0, total + 1):
-            b = total - a
-            table_a, table_b = character_table(a), character_table(b)
-            for lam, mu in product(table_a, table_b):
-                induced = _induce((a, b), (table_a[lam], table_b[mu]))
-                # The labels come from all_diagrams, so _lr needs no checks.
-                for nu, pairing in _pairings(total, induced):
-                    lr = _lr(lam, mu, nu)
-                    if pairing != lr * nfact:
-                        # Imported only on a mismatch: a passing run never
-                        # pays for fractions.
-                        import fractions
-
-                        frob = fractions.Fraction(pairing, nfact)
-                        bad.append(
-                            f"({diagram_text(lam)})*({diagram_text(mu)})"
-                            f"->({diagram_text(nu)}): {frob} vs {lr}"
-                        )
-        entry("lr-frobenius", f"|lam|+|mu|={total}", "0 mismatches", mismatch_summary(bad))
-
-    for n in range(1, max_size + 1):
-        bad = []
-        for orbit in all_diagrams(n):
-            group = unipotent.make_group(unipotent.GroupKind.GL_R, n=n)
-            params = unipotent.enumeration_record(group, unipotent.OrbitSpec(orbit))["params"]
-            got = tuple(tuple(row["a"]) for row in params)
-            if got != parameter_tuples(row_profile(orbit)):
-                bad.append(diagram_text(orbit))
-        entry("parameter-enumeration", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
-    for n in range(2, max_size + 1):
-        bad = []
-        group = unipotent.make_group(unipotent.GroupKind.SL_R, n=n)
-        for orbit in all_diagrams(n):
-            spec = unipotent.OrbitSpec(orbit)
-            params = unipotent.enumeration_record(group, spec)["params"]
-            if len(params) != unipotent.count_unipotent(group, spec):
-                bad.append(diagram_text(orbit))
-        entry("sl-count-formula", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
-    for n in range(0, min(max_size, 8) + 1):
-        bad = []
-        for n_h in range(0, n + 1):
-            sig = (n_h, n - n_h)
-            dim = weylmodules.coh_gl_complex(sig).dimension()
-            if dim != factorial(n_h) * factorial(n - n_h):
-                bad.append(f"sig={sig}")
-        entry("regular-dimension", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
-    for n in range(1, max_size + 1):
-        bad = []
-        groups = [
-            [unipotent.make_group(kind, p=p, q=n - p) for kind in _SU_AND_COVER]
-            for p in range(0, n + 1)
-        ]
-        # A module depends only on (p, q, coset signature): build each once.
-        modules: dict = {}
-        for orbit in all_diagrams(n):
-            spec = unipotent.OrbitSpec(orbit)
-            cell = unipotent.cell_rep(groups[0][0], spec)
-            sig = coset_signature(orbit)
-            for p, pair in enumerate(groups):
-                if (p, sig) not in modules:
-                    modules[p, sig] = [unipotent.coherent_module(g, spec) for g in pair]
-                if not _counts_agree(pair, modules[p, sig], spec, cell):
-                    bad.append(f"(p,q)=({p},{n - p}) orbit={diagram_text(orbit)}")
-        entry("counting-equality", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
-    for n in range(1, max_size + 1):
-        bad = []
-        for orbit in all_diagrams(n):
-            n_h, n_0 = coset_signature(orbit)
-            if n_h != n_0 or n_h == 0:
-                continue
-            su = unipotent.make_group(unipotent.GroupKind.SU, p=n, q=0)
-            cell = unipotent.cell_rep(su, unipotent.OrbitSpec(orbit))
-            if weylmodules.diagonal_module(n_h).multiplicity(cell) != 0:
-                bad.append(diagram_text(orbit))
-        entry("diagonal-zero", f"n={n}", "0 mismatches", mismatch_summary(bad))
-
+    sweep("lr-frobenius", range(1, min(max_size, 8) + 1), _lr_mismatches, label="|lam|+|mu|")
+    sweep("parameter-enumeration", range(1, max_size + 1), each_diagram(_parameters_match))
+    sweep("sl-count-formula", range(2, max_size + 1), each_diagram(_sl_count_matches))
+    sweep("regular-dimension", range(0, min(max_size, 8) + 1), _regular_dimension_mismatches)
+    sweep("counting-equality", range(1, max_size + 1), _counting_mismatches)
+    sweep("diagonal-zero", range(1, max_size + 1), each_diagram(_diagonal_misses_cell))
     return report
+
+
+def _lr_mismatches(total: int) -> Iterator[str]:
+    """Every (lam, mu, nu) with |lam| + |mu| = total whose Frobenius pairing
+    differs from the Littlewood-Richardson coefficient. The induced
+    characters come straight from character table rows, and _lr skips a
+    lam or mu that does not fit inside nu."""
+    nfact = factorial(total)
+    for a in range(0, total + 1):
+        b = total - a
+        table_a, table_b = character_table(a), character_table(b)
+        for lam, mu in product(table_a, table_b):
+            induced = _induce((a, b), (table_a[lam], table_b[mu]))
+            # The labels come from all_diagrams, so _lr needs no checks.
+            for nu, pairing in _pairings(total, induced):
+                lr = _lr(lam, mu, nu)
+                if pairing != lr * nfact:
+                    # Imported only on a mismatch: a passing run never pays
+                    # for fractions.
+                    import fractions
+
+                    frob = fractions.Fraction(pairing, nfact)
+                    yield (
+                        f"({diagram_text(lam)})*({diagram_text(mu)})"
+                        f"->({diagram_text(nu)}): {frob} vs {lr}"
+                    )
+
+
+def _parameters_match(n: int, orbit: Diagram) -> bool:
+    group = unipotent.make_group(unipotent.GroupKind.GL_R, n=n)
+    params = unipotent.enumeration_record(group, unipotent.OrbitSpec(orbit))["params"]
+    return tuple(tuple(row["a"]) for row in params) == parameter_tuples(row_profile(orbit))
+
+
+def _sl_count_matches(n: int, orbit: Diagram) -> bool:
+    group = unipotent.make_group(unipotent.GroupKind.SL_R, n=n)
+    spec = unipotent.OrbitSpec(orbit)
+    params = unipotent.enumeration_record(group, spec)["params"]
+    return len(params) == unipotent.count_unipotent(group, spec)
+
+
+def _regular_dimension_mismatches(n: int) -> Iterator[str]:
+    for n_h in range(0, n + 1):
+        sig = (n_h, n - n_h)
+        if weylmodules.coh_gl_complex(sig).dimension() != factorial(n_h) * factorial(n - n_h):
+            yield f"sig={sig}"
+
+
+def _counting_mismatches(n: int) -> Iterator[str]:
+    """Every (p, q, orbit) of size n where the SU and double-cover modules
+    and counts disagree. A module depends only on (p, q, coset signature),
+    so each is built once."""
+    groups = [
+        [unipotent.make_group(kind, p=p, q=n - p) for kind in _SU_AND_COVER]
+        for p in range(0, n + 1)
+    ]
+    modules: dict = {}
+    for orbit in all_diagrams(n):
+        spec = unipotent.OrbitSpec(orbit)
+        cell = unipotent.cell_rep(groups[0][0], spec)
+        sig = coset_signature(orbit)
+        for p, pair in enumerate(groups):
+            if (p, sig) not in modules:
+                modules[p, sig] = [unipotent.coherent_module(g, spec) for g in pair]
+            if not _counts_agree(pair, modules[p, sig], spec, cell):
+                yield f"(p,q)=({p},{n - p}) orbit={diagram_text(orbit)}"
+
+
+def _diagonal_misses_cell(n: int, orbit: Diagram) -> bool:
+    """Whether no diagonal summand holds the orbit's cell; only orbits with
+    n_h = n_0 > 0 are tested."""
+    n_h, n_0 = coset_signature(orbit)
+    if n_h != n_0 or n_h == 0:
+        return True
+    su = unipotent.make_group(unipotent.GroupKind.SU, p=n, q=0)
+    cell = unipotent.cell_rep(su, unipotent.OrbitSpec(orbit))
+    return weylmodules.diagonal_module(n_h).multiplicity(cell) == 0

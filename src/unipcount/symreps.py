@@ -160,6 +160,13 @@ def _table_path(n: int, cache_dir: str | Path) -> Path:
     return Path(cache_dir) / f"chartable_{n}.json"
 
 
+def _table_rows(n: int, table: dict[IrrepLabel, dict[Diagram, int]]) -> dict[str, list[int]]:
+    """The table as the cache file and `chartable --format json` write it:
+    each label's comma-separated form mapped to its row of class values."""
+    classes = all_diagrams(n)
+    return {diagram_text(lam): [table[lam][mu] for mu in classes] for lam in classes}
+
+
 def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram, int]] | None:
     path = _table_path(n, cache_dir)
     if not path.is_file():
@@ -190,8 +197,6 @@ def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram,
 def _store_table(n: int, table: dict[IrrepLabel, dict[Diagram, int]], cache_dir: str | Path) -> None:
     path = _table_path(n, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    classes = all_diagrams(n)
-    payload = {diagram_text(lam): [table[lam][mu] for mu in classes] for lam in classes}
     # Write a temp file beside the target and rename it into place, so a
     # reader never sees a partial table. json and tempfile are imported here
     # because only a store needs them and they cost several ms of import.
@@ -201,7 +206,7 @@ def _store_table(n: int, table: dict[IrrepLabel, dict[Diagram, int]], cache_dir:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(json.dumps(_table_rows(n, table)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

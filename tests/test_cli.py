@@ -212,6 +212,37 @@ def test_verify_passes(cli_runner):
     assert all(c["pass"] for c in rec["checks"])
 
 
+def test_chartable_cache_file_holds_the_json_table(cli_runner, tmp_path):
+    # The cache file and `--format json` write one row format.
+    code, out, _ = cli_runner(["chartable", "--n", "5", "--cache-dir", str(tmp_path), "--format", "json"])
+    assert code == 0
+    cached = json.loads((tmp_path / "chartable_5.json").read_text())
+    assert cached == json.loads(out)["table"]
+
+
+@pytest.mark.parametrize("max_size, degrees", [(4, range(1, 5)), (10, range(1, 11))])
+def test_verify_caches_every_table_it_reads(cli_runner, tmp_path, max_size, degrees):
+    code, _, _ = cli_runner(["verify", "--max-size", str(max_size), "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"chartable_{n}.json" for n in degrees
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["chartable", "--n", "3"], ["verify", "--max-size", "2"]], ids=["chartable", "verify"]
+)
+def test_unwritable_cache_is_a_domain_error(cli_runner, tmp_path, command):
+    # A regular file where the cache directory should be: one error line on
+    # stderr and exit 1, no traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = cli_runner([*command, "--cache-dir", str(blocker)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker) in err
+
+
 def test_verify_max_size_below_1_is_usage_error(cli_runner):
     for size in ("0", "-3"):
         code, out, err = cli_runner(["verify", "--max-size", size, "--format", "json"])

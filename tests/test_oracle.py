@@ -141,10 +141,11 @@ def test_orthogonality_small_and_bound():
         orthogonality_check(9)
 
 
-def test_orthogonality_detects_corruption():
+def test_orthogonality_detects_corruption(monkeypatch):
     table = {lam: dict(row) for lam, row in character_table(4).items()}
     table[(2, 2)][(4,)] += 1
-    assert not orthogonality_check(4, table=table)
+    monkeypatch.setattr(oracle, "character_table", lambda n: table)
+    assert not orthogonality_check(4)
 
 
 def test_parameter_tuples():
@@ -206,18 +207,6 @@ def test_run_checks_all_pass():
     assert "matchings-decomposition" in names
     for c in checks:
         assert set(c) == {"check", "instance", "expected", "actual", "pass"}
-
-
-def test_lr_frobenius_reports_a_mismatch_as_before(monkeypatch):
-    lr = oracle._lr
-    monkeypatch.setattr(
-        oracle, "_lr", lambda *t: 0 if t == ((1,), (1,), (2,)) else lr(*t)
-    )
-    report = {(e["check"], e["instance"]): e for e in run_checks(2)}
-    entry = report["lr-frobenius", "|lam|+|mu|=2"]
-    assert entry["actual"] == "1 mismatches; first: (1)*(1)->(2): 1 vs 0"
-    assert not entry["pass"]
-    assert report["lr-frobenius", "|lam|+|mu|=1"]["pass"]
 
 
 def test_decompose_refuses_a_class_function_that_is_not_a_character():
@@ -302,19 +291,82 @@ def test_fusion_terms_match_the_class_split_recursion():
         assert fused == _split_fusion(degrees), degrees
 
 
-def test_sl_count_formula_reads_the_engine_count(monkeypatch):
-    count = unipotent.count_unipotent
+def _sweep_faults():
+    """(faulted instance, passing neighbour, (module, attribute, fault),
+    report) for every check that reports "k mismatches; first: ...", keyed
+    by check. Each fault wraps the engine function the check reads."""
+    su, sl = unipotent.GroupKind.SU, unipotent.GroupKind.SL_R
+    transpose, row_union, dim = oracle.transpose, oracle.row_union, oracle.irrep_dimension
+    lr, tuples, count = oracle._lr, oracle.parameter_tuples, unipotent.count_unipotent
+    gl_complex, diagonal = weylmodules.coh_gl_complex, weylmodules.diagonal_module
+    # The cell of the orbit 2,1,1, which no diagonal summand holds.
+    cell = unipotent.cell_rep(make_group("su", p=4, q=0), OrbitSpec((2, 1, 1)))
+    faults = {
+        "transpose-involution": (
+            "n=4", "n=3",
+            (oracle, "transpose", lambda d: () if d in ((3, 1), (2, 1, 1)) else transpose(d)),
+            "2 mismatches; first: 3,1",
+        ),
+        "split-union-roundtrip": (
+            "n=2", "n=3",
+            (oracle, "row_union", lambda even, odd: () if odd == (1, 1) else row_union(even, odd)),
+            "1 mismatches; first: 1,1",
+        ),
+        "hook-dimension": (
+            "n=4", "n=3",
+            (oracle, "irrep_dimension", lambda lam: dim(lam) + (lam in ((3, 1), (2, 1, 1)))),
+            "2 mismatches; first: 3,1",
+        ),
+        "lr-frobenius": (
+            "|lam|+|mu|=2", "|lam|+|mu|=1",
+            (oracle, "_lr", lambda *t: 0 if t == ((1,), (1,), (2,)) else lr(*t)),
+            "1 mismatches; first: (1)*(1)->(2): 1 vs 0",
+        ),
+        "parameter-enumeration": (
+            "n=3", "n=2",
+            (oracle, "parameter_tuples",
+             lambda prof: tuples(prof)[1:] if prof.lengths == (2, 1) else tuples(prof)),
+            "1 mismatches; first: 2,1",
+        ),
+        "sl-count-formula": (
+            "n=4", "n=3",
+            (unipotent, "count_unipotent",
+             lambda g, o: count(g, o) + (g.kind is sl and o.first == (2, 2))),
+            "1 mismatches; first: 2,2",
+        ),
+        "regular-dimension": (
+            "n=3", "n=2",
+            (weylmodules, "coh_gl_complex", lambda sig: gl_complex((0, 3) if sig == (1, 2) else sig)),
+            "1 mismatches; first: sig=(1, 2)",
+        ),
+        "counting-equality": (
+            "n=3", "n=2",
+            (unipotent, "count_unipotent",
+             lambda g, o: count(g, o) + (g.kind is su and g.p in (1, 2) and o.first == (2, 1))),
+            "2 mismatches; first: (p,q)=(1,2) orbit=2,1",
+        ),
+        "diagonal-zero": (
+            "n=4", "n=3",
+            (weylmodules, "diagonal_module",
+             lambda r: diagonal(r) + weylmodules.ModuleDecomp((2, 2), {cell: 1}) if r == 2 else diagonal(r)),
+            "1 mismatches; first: 2,1,1",
+        ),
+    }
+    return [pytest.param(check, *fault, id=check) for check, fault in faults.items()]
 
-    def off_by_one(group, orbit):
-        wrong = group.kind is unipotent.GroupKind.SL_R and orbit.first == (2, 2)
-        return count(group, orbit) + wrong
 
-    monkeypatch.setattr(unipotent, "count_unipotent", off_by_one)
+@pytest.mark.parametrize("check, faulted, neighbour, patch, actual", _sweep_faults())
+def test_each_mismatch_sweep_reports_its_count_and_first_mismatch(
+    monkeypatch, check, faulted, neighbour, patch, actual
+):
+    # A fault in the engine function one check reads shows in that check's
+    # report at the faulted size, and not at its neighbour.
+    monkeypatch.setattr(*patch)
     report = {(e["check"], e["instance"]): e for e in run_checks(4)}
-    entry = report["sl-count-formula", "n=4"]
-    assert entry["actual"] == "1 mismatches; first: 2,2"
-    assert not entry["pass"]
-    assert report["sl-count-formula", "n=3"]["pass"]
+    entry = report[check, faulted]
+    assert (entry["expected"], entry["actual"], entry["pass"]) == ("0 mismatches", actual, False)
+    assert report[check, neighbour]["actual"] == "0 mismatches"
+    assert report[check, neighbour]["pass"]
 
 
 # SHA-256 of the run_checks(m) reports as JSON, and of the stdout of
@@ -322,8 +374,11 @@ def test_sl_count_formula_reads_the_engine_count(monkeypatch):
 # must not change a byte of what it reports; bench/golden.json pins only
 # sizes 1 to 6.
 REPORT_SHA256 = {
+    1: "dd98681c80ae837ddc02348900be2c6103114e93ced86bab83f993865a1d4fff",
     8: "4c99c652264a993f432f9a9739b8a0079a2d956518af927e0818ea3f2d241348",
     10: "4c32b67b601d8e2f6645aa9cd6c0c57b8825ccbf2b543b7d44c6f6bdeec89c79",
+    # Past every size cap, transpose-involution's 12 included.
+    13: "5da2f81f89a96bc0058e3da007da4d474820e45affe56411a72f00b32b0443b7",
 }
 VERIFY_8_JSON_SHA256 = "96e2aa640c23763ad108179d2efb398ae4dcfb93c7ce3a3806540e3a5250197b"
 
@@ -338,6 +393,20 @@ def test_verify_json_stdout_matches_its_recorded_digest(cli_runner):
     code, out, err = cli_runner(["verify", "--max-size", "8", "--format", "json"])
     assert (code, err) == (0, "")
     assert sha256(out.encode()).hexdigest() == VERIFY_8_JSON_SHA256
+
+
+def test_run_checks_reads_no_table_above_its_bound(monkeypatch):
+    # verify --cache-dir stores degrees up to TABLE_BOUND, so that must be
+    # every table run_checks reads, past every size cap.
+    degrees = set()
+
+    def recorded(n):
+        degrees.add(n)
+        return character_table(n)
+
+    monkeypatch.setattr(oracle, "character_table", recorded)
+    run_checks(13)
+    assert degrees == set(range(oracle.TABLE_BOUND + 1))
 
 
 def test_counting_equality_builds_each_su_module_once(monkeypatch):
