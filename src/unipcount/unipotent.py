@@ -21,7 +21,7 @@ from .diagrams import (
 from .errors import DegreeMismatchError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
-    block_multiplicity,
+    _strip_fillings,
     coh_gl_complex,
     coh_sl_complex,
     coh_su,
@@ -46,14 +46,20 @@ QUATERNIONIC_KINDS = frozenset({GroupKind.GL_H, GroupKind.SL_H})
 ENUMERATED_KINDS = frozenset({GroupKind.GL_R, GroupKind.SL_R})
 
 
-class GroupSpec(NamedTuple):
-    """A supported group: its kind with degree n, plus (p, q) for the
-    hermitian kinds."""
+# Kind and least n by value; a str-Enum member hashes as its value, so it finds its own entry.
+_KINDS = {k.value: (k, 2 if k in ("sl-r", "sl-c", "sl-h", "gl-h") else 1) for k in GroupKind}
+_Group = NamedTuple("_Group", [("kind", GroupKind), ("n", int), ("p", int | None), ("q", int | None)])
 
-    kind: GroupKind
-    n: int
-    p: int | None = None
-    q: int | None = None
+
+class GroupSpec(_Group):
+    """A supported group: its kind with degree n, plus (p, q) for the
+    hermitian kinds. Built by hand, it is checked as make_group's are."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: make_group(*fields))  # _replace builds with it
+
+    def __new__(cls, *args, **kwargs) -> "GroupSpec":
+        return make_group(*args, **kwargs)
 
 
 def make_group(
@@ -70,8 +76,8 @@ def make_group(
     unknown kind, or an n, p or q that is not a whole number, is refused.
     """
     try:
-        kind = GroupKind(kind)
-    except ValueError:
+        kind, minimum = _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise UnsupportedGroupError(f"unknown group kind {kind!r}") from None
     if kind in HERMITIAN_KINDS:
         if p is None or q is None:
@@ -88,7 +94,7 @@ def make_group(
             )
         if n is not None and n != p + q:
             raise DegreeMismatchError(f"n = {n} does not match p + q = {p + q}")
-        return GroupSpec(kind, p + q, p, q)
+        return tuple.__new__(GroupSpec, (kind, p + q, p, q))
     if p is not None or q is not None:
         raise UnsupportedGroupError(f"kind {kind.value} does not take p and q")
     if n is None:
@@ -97,12 +103,11 @@ def make_group(
         if whole_numbers((n,)) is None:
             raise UnsupportedGroupError(f"kind {kind.value} takes a whole n, got {n!r}")
         n = int(n)
-    minimum = 2 if kind in (GroupKind.SL_R, GroupKind.SL_C, GroupKind.SL_H, GroupKind.GL_H) else 1
     if n < minimum:
         raise UnsupportedGroupError(f"kind {kind.value} requires n >= {minimum}, got {n}")
     if kind in QUATERNIONIC_KINDS and n % 2:
         raise UnsupportedGroupError(f"kind {kind.value} requires even n, got {n}")
-    return GroupSpec(kind, n)
+    return tuple.__new__(GroupSpec, (kind, n, None, None))
 
 
 class _Orbit(NamedTuple):
@@ -146,12 +151,27 @@ def _check_orbit(group: GroupSpec, orbit: OrbitSpec) -> None:
             )
 
 
-# Cached: the cell depends only on the orbit, and a sweep counts each orbit
-# at every (p, q).
+class _OrbitRecord(NamedTuple):  # all a count reads at one orbit diagram
+    cell: tuple[Diagram, Diagram]
+    n_h: int  # |a| = size of the even rows, as |transpose(d)| = |d|
+    n_0: int  # |b| = size of the odd rows
+    total: int  # prod(m + 1) over the row multiplicities m
+    all_even: bool  # e: every m is even
+    blocks: tuple[tuple[int, tuple[int, ...], int], ...]  # (r, c_odd, even)
+
+
+# Cached: a sweep counts each orbit at every (p, q).
 @cache
-def _cell(orbit: Diagram) -> tuple[Diagram, Diagram]:
-    even, odd = even_odd_split(orbit)
-    return transpose(even), transpose(odd)
+def _orbit_record(orbit: Diagram) -> _OrbitRecord:
+    a, b = map(transpose, even_odd_split(orbit))
+    mults = row_profile(orbit).mults
+    blocks = tuple(
+        (sum(matched), *_strip_fillings(other))
+        for matched, other in ((a, b), (b, a))
+        if all(row % 2 == 0 for row in matched)
+    )
+    total, all_even = prod(m + 1 for m in mults), all(m % 2 == 0 for m in mults)
+    return _OrbitRecord((a, b), sum(a), sum(b), total, all_even, blocks)
 
 
 def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
@@ -164,7 +184,7 @@ def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
     if kind not in HERMITIAN_KINDS and kind not in COMPLEX_KINDS:
         raise UnsupportedGroupError(f"no cell label for kind {kind.value}")
     _check_orbit(group, orbit)
-    pair = _cell(orbit.first)
+    pair = _orbit_record(orbit.first).cell
     return pair + pair if kind in COMPLEX_KINDS else pair
 
 
@@ -225,16 +245,19 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     building the module.
 
     Unitary kinds: the cell is (a, b) = (transpose of the even rows,
-    transpose of the odd rows), with |a| = n_h and |b| = n_0. The two block
-    summands contribute block_multiplicity(p, q, n_h, a, b) +
-    block_multiplicity(p, q, n_0, b, a), where the sign-induction factor is
-    read off by the Pieri rule for vertical strips (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.(5.16)-(5.17); see
-    sign_induction_multiplicity). The diagonal summands of SU never contain
-    the cell, so SU and the double cover share this formula. Proof: the
-    largest part of transpose(d) is the number of rows of d, and it occurs
-    as many times as the smallest row of d is long. That is even for a
-    (built from even rows) and odd for b (built from odd rows), so a != b
+    transpose of the odd rows), with |a| = n_h and |b| = n_0. A block
+    summand holds it only if the label in its matchings factor, a or b, of
+    size r, has all rows even and min(p, q) >= r/2, and then as often as
+    sign_induction_multiplicity holds the other label at (p - r/2, q - r/2):
+    c_odd[i] * even, where (c_odd, even) = _strip_fillings(other label) and
+    i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out of range. One cached
+    record per orbit diagram keeps the cell, n_h, n_0, prod(m + 1), e and
+    (r, c_odd, even) for each block that can hold the cell, so a count at
+    any (p, q) sums at most two products. The diagonal summands of SU never
+    contain the cell, so SU and the double cover share this formula. Proof:
+    the largest part of transpose(d) is the number of rows of d, and it
+    occurs as many times as the smallest row of d is long. That is even for
+    a (built from even rows) and odd for b (built from odd rows), so a != b
     unless both are empty, i.e. n = 0, which no group allows. A diagonal
     key (x, x) therefore never equals (a, b).
 
@@ -255,20 +278,20 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
             "general linear side's classification is external to this engine"
         )
     _check_orbit(group, orbit)
-    if kind in ENUMERATED_KINDS:
-        mults = row_profile(orbit.first).mults
-        total = prod(m + 1 for m in mults)
-        if kind is GroupKind.GL_R:
-            return total
-        fixed = all(m % 2 == 0 for m in mults)
-        return (total + 3 * fixed) // 2
     if kind in COMPLEX_KINDS:
         return int(orbit.first == orbit.second)
-    a, b = _cell(orbit.first)
-    # |transpose(d)| = |d|, so a and b have the coset signature's sizes.
-    n_h, n_0 = sum(a), sum(b)
+    record = _orbit_record(orbit.first)
+    if kind in ENUMERATED_KINDS:
+        if kind is GroupKind.GL_R:
+            return record.total
+        return (record.total + 3 * record.all_even) // 2
     p, q = group.p, group.q
-    return block_multiplicity(p, q, n_h, a, b) + block_multiplicity(p, q, n_0, b, a)
+    count = 0
+    for r, c_odd, even in record.blocks:
+        i = (len(c_odd) - 1 + p - q) // 2
+        if min(p, q) >= r // 2 and 0 <= i < len(c_odd):
+            count += c_odd[i] * even
+    return count
 
 
 def group_record(group: GroupSpec) -> dict:
@@ -288,12 +311,12 @@ def orbit_record(orbit: OrbitSpec) -> list:
 def count_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     """JSON-ready record of a count query."""
     count = count_unipotent(group, orbit)
-    sig = coset_signature(orbit.first)
+    record = _orbit_record(orbit.first)
     return {
         "group": group_record(group),
         "orbit": orbit_record(orbit),
-        "n_h": sig.n_h,
-        "n_0": sig.n_0,
+        "n_h": record.n_h,
+        "n_0": record.n_0,
         "count": count,
         "method": "enumeration" if group.kind in ENUMERATED_KINDS else "multiplicity",
     }

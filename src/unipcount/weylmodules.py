@@ -189,7 +189,6 @@ def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
     return tuple(c_odd), even
 
 
-@cache
 def sign_induction_multiplicity(nu: Diagram, p: int, q: int) -> int:
     """Multiplicity of (nu,) in sign_induction_module(p, q), without
     building the module.
@@ -266,18 +265,6 @@ def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     if rest is None:
         return ModuleDecomp((p + q - r, r))
     return sign_induction_module(*rest).tensor(matchings_module(r // 2))
-
-
-@cache
-def block_multiplicity(p: int, q: int, r: int, matched: Diagram, other: Diagram) -> int:
-    """Multiplicity of (matched, other) in block_matchings_first(p, q, r),
-    without building it: the matchings factor holds exactly the diagrams
-    with all rows even, once each, so this is sign_induction_multiplicity
-    of the other factor, or 0."""
-    rest = _block_signature(p, q, r)
-    if rest is None or any(row % 2 for row in matched):
-        return 0
-    return sign_induction_multiplicity(other, *rest)
 
 
 def _blocks(p: int, q: int, sig: CosetSignature) -> tuple[ModuleDecomp, ModuleDecomp]:

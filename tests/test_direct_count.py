@@ -6,12 +6,12 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import block_multiplicity
 from unipcount import unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
 from unipcount.oracle import lr_coefficient
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
-    block_multiplicity,
     coh_gl_complex,
     coh_sl_complex,
     coh_su,
@@ -123,6 +123,18 @@ def test_hermitian_direct_count_matches_module_multiplicity():
                 assert _direct_counts(p, n - p, orbit) == _module_counts(p, n - p, orbit)
 
 
+def test_hermitian_count_matches_block_multiplicity_reference():
+    # The per-(p, q) sum count_unipotent used before its per-orbit record.
+    for n in range(1, 15):
+        for orbit in all_diagrams(n):
+            a, b = map(transpose, even_odd_split(orbit))
+            n_h, n_0 = coset_signature(orbit)
+            for p in range(n + 1):
+                q = n - p
+                expected = block_multiplicity(p, q, n_h, a, b) + block_multiplicity(p, q, n_0, b, a)
+                assert _direct_counts(p, q, orbit) == (expected, expected), (orbit, p)
+
+
 def test_complex_closed_form_matches_module_multiplicity():
     for n in range(1, 11):
         orbits = all_diagrams(n)
@@ -159,8 +171,7 @@ def test_count_builds_no_module(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("count_unipotent built a module or enumerated")
 
-    block_multiplicity.cache_clear()
-    sign_induction_multiplicity.cache_clear()
+    unipotent._orbit_record.cache_clear()
     monkeypatch.setattr(weylmodules.ModuleDecomp, "__init__", refuse)
     monkeypatch.setattr(weylmodules, "_built", refuse)
     monkeypatch.setattr(unipotent, "_real_params", refuse)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unipcount import unipotent
+from unipcount import unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, make_diagram, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
@@ -16,8 +16,10 @@ from unipcount.errors import (
 from unipcount.oracle import verify_counting_equality
 from unipcount.unipotent import (
     GroupKind,
+    GroupSpec,
     OrbitSpec,
     cell_rep,
+    coherent_module,
     count_record,
     count_unipotent,
     enumeration_record,
@@ -60,6 +62,43 @@ def test_make_group_validation():
     assert len({su, make_group("su", p=2, q=1), make_group("gl-r", n=3)}) == 2
     with pytest.raises(AttributeError):
         su.p = 0
+
+
+def test_make_group_takes_a_kind_or_its_value():
+    for kind in GroupKind:
+        args = {"p": 1, "q": 1} if kind in unipotent.HERMITIAN_KINDS else {"n": 2}
+        for given in (kind, kind.value):
+            group = make_group(given, **args)
+            assert group.kind is kind and type(group.kind) is GroupKind
+    # Each refusal names the kind as given, whatever its type.
+    for kind, message in [
+        ("xx", "unknown group kind 'xx'"),
+        (None, "unknown group kind None"),
+        (["su"], "unknown group kind ['su']"),
+    ]:
+        with pytest.raises(UnsupportedGroupError) as caught:
+            make_group(kind, n=3)
+        assert str(caught.value) == message
+
+
+def test_group_spec_built_by_hand_is_checked():
+    # gl-r, not the sl-r count 3.
+    assert count_unipotent(GroupSpec("gl-r", 4), OrbitSpec((2, 1, 1))) == 6
+    assert GroupSpec("gl-r", 4).kind is GroupKind.GL_R
+    pair = OrbitSpec((1, 1), (1, 1))
+    assert coherent_module(GroupSpec("gl-c", 2), pair) == coherent_module(make_group("gl-c", n=2), pair)
+    with pytest.raises(UnsupportedGroupError, match="unknown group kind 'xx'"):
+        count_unipotent(GroupSpec("xx", 2), OrbitSpec((1, 1)))
+    spec = OrbitSpec((2, 2))
+    assert enumeration_record(GroupSpec("sl-r", 4), spec) == enumeration_record(
+        make_group("sl-r", n=4), spec
+    )
+    with pytest.raises(DegreeMismatchError, match="n = 3 does not match p"):
+        count_unipotent(GroupSpec("su", 3, 1, 1), OrbitSpec((2, 1)))
+    # _replace builds a new group, checked the same way.
+    with pytest.raises(DegreeMismatchError):
+        make_group("su", p=2, q=1)._replace(p=5)
+    assert make_group("su", p=2, q=1)._replace(p=3, n=4) == make_group("su", p=3, q=1)
 
 
 def test_make_group_takes_only_whole_numbers():
@@ -269,12 +308,34 @@ def test_cell_is_computed_once_per_orbit(monkeypatch):
     calls = []
     real = unipotent.transpose
     monkeypatch.setattr(unipotent, "transpose", lambda d: calls.append(d) or real(d))
-    unipotent._cell.cache_clear()
+    unipotent._orbit_record.cache_clear()
     orbit = OrbitSpec((4, 3, 2, 1))
     for p in range(11):
         for kind in ("su", "u-tilde"):
             count_unipotent(make_group(kind, p=p, q=10 - p), orbit)
     assert len(calls) == 2
+
+
+def test_sweep_fills_one_record_per_orbit():
+    # A cold su and u-tilde sweep at n = 12 fills one record per orbit, p(12)
+    # = 77, and no cache keyed by (p, q): the only other cache it fills is
+    # _strip_fillings, keyed by a cell label.
+    caches = {
+        name: fn
+        for mod in (unipotent, weylmodules)
+        for name, fn in vars(mod).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__
+    }
+    for fn in caches.values():
+        fn.cache_clear()
+    for orbit in map(OrbitSpec, all_diagrams(12)):
+        for p in range(13):
+            for kind in ("su", "u-tilde"):
+                count_unipotent(make_group(kind, p=p, q=12 - p), orbit)
+    filled = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert {name for name, size in filled.items() if size} == {"_orbit_record", "_strip_fillings"}
+    assert filled["_orbit_record"] == len(all_diagrams(12)) == 77
+    assert filled["_strip_fillings"] <= 2 * 77
 
 
 def test_complex_counts_match_remark_small():
