@@ -8,19 +8,7 @@ module decompositions, cross-validated by brute-force oracles.
 
 __version__ = "0.1.0"
 
-from .diagrams import (
-    CosetSignature,
-    Diagram,
-    RowProfile,
-    all_diagrams,
-    coset_signature,
-    even_odd_split,
-    make_diagram,
-    parse_orbit,
-    row_profile,
-    row_union,
-    transpose,
-)
+from .diagrams import parse_orbit
 from .errors import (
     DegreeMismatchError,
     EngineError,
@@ -29,7 +17,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedGroupError,
 )
-from .symreps import character_table, irrep_dimension
+from .symreps import character_table
 from .unipotent import (
     GroupKind,
     GroupSpec,
@@ -41,15 +29,4 @@ from .unipotent import (
     enumeration_record,
     make_group,
 )
-from .weylmodules import (
-    ModuleDecomp,
-    block_matchings_first,
-    block_matchings_second,
-    coh_gl_complex,
-    coh_sl_complex,
-    coh_su,
-    coh_u_cover,
-    diagonal_module,
-    matchings_module,
-    sign_induction_module,
-)
+from .weylmodules import ModuleDecomp

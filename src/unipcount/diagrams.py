@@ -15,32 +15,17 @@ from .errors import InvalidPartitionError, whole_numbers
 Diagram = tuple[int, ...]
 
 
-def make_diagram(parts: Iterable[int]) -> Diagram:
-    """Build a diagram from row lengths, sorting into canonical order.
-
-    Zero and negative entries are rejected rather than dropped, and entries
-    that are not whole numbers rather than truncated; 2.0 coerces to 2.
-    """
-    given = tuple(parts)
-    rows = whole_numbers(given)
-    if rows is None:
-        raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
-    rows = tuple(sorted(rows, reverse=True))
-    if rows and rows[-1] < 1:
-        raise InvalidPartitionError(
-            f"row lengths must be positive integers, got {rows[-1]}"
-        )
-    return rows
-
-
 def check_diagram(d: Iterable[int]) -> Diagram:
     """Validate an already-canonical diagram (weakly decreasing, positive).
 
     Whole numbers such as 2.0 coerce to int; any other entry (2.7, "2") is
     rejected rather than truncated. A process checks each distinct diagram
-    once, up to a bounded cache.
+    once, up to a bounded cache. A d that is not a sequence is refused.
     """
-    given = tuple(d)
+    try:
+        given = tuple(d)
+    except TypeError:
+        raise InvalidPartitionError(f"a diagram is a sequence of row lengths, got {d!r}") from None
     try:
         return _checked(given)
     except TypeError:  # an unhashable row misses the cache, not the check
@@ -133,15 +118,15 @@ def coset_signature(d: Diagram) -> CosetSignature:
 
 
 def parse_orbit(text: str) -> Diagram:
-    """Parse the comma-separated row-length form, e.g. '3,1,1'."""
-    items = [s.strip() for s in text.split(",") if s.strip()]
+    """Parse the comma-separated row-length form, e.g. '3,1,1', in any row
+    order. Anything but such a string is refused."""
     try:
-        parts = [int(s) for s in items]
-    except ValueError as exc:
+        parts = [int(s) for s in text.split(",") if s.strip()]
+    except (AttributeError, TypeError, ValueError) as exc:  # not a str, or a row not an int
         raise InvalidPartitionError(f"cannot parse orbit {text!r}") from exc
     if not parts:
         raise InvalidPartitionError(f"cannot parse orbit {text!r}")
-    return make_diagram(parts)
+    return check_diagram(sorted(parts, reverse=True))
 
 
 def diagram_text(d: Diagram) -> str:

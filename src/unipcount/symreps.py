@@ -17,7 +17,7 @@ from math import factorial, prod
 from pathlib import Path
 
 from .diagrams import Diagram, all_diagrams, check_diagram, diagram_text, transpose
-from .errors import DegreeMismatchError, whole_numbers
+from .errors import DegreeMismatchError, InvalidPartitionError, whole_numbers
 
 IrrepLabel = Diagram
 
@@ -137,8 +137,13 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
     to its row of class values, labels and classes both in decreasing
     lexicographic order. A table not yet memoized is loaded from its file,
     or computed; either way the table is written when its file is missing or
-    fails to load.
+    fails to load. A whole n such as 3.0 coerces to 3; any other n that is
+    not a whole number >= 0 is refused.
     """
+    if type(n) is not int:  # only such an n pays for whole_numbers
+        if whole_numbers((n,)) is None:
+            raise InvalidPartitionError(f"cannot partition a total that is not a whole number: {n!r}")
+        n = int(n)
     table = _TABLES.get(n)
     on_disk = False
     if cache_dir is not None:

@@ -121,6 +121,7 @@ class OrbitSpec(_Orbit):
     (weakly decreasing, positive rows)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds with it
 
     # A NamedTuple body may not define __new__, hence the _Orbit base.
     def __new__(cls, first: Diagram, second: Diagram | None = None) -> "OrbitSpec":
@@ -157,7 +158,7 @@ class _OrbitRecord(NamedTuple):  # all a count reads at one orbit diagram
     n_0: int  # |b| = size of the odd rows
     total: int  # prod(m + 1) over the row multiplicities m
     all_even: bool  # e: every m is even
-    blocks: tuple[tuple[int, tuple[int, ...], int], ...]  # (r, c_odd, even)
+    blocks: tuple[tuple[tuple[int, ...], int], ...]  # (c_odd, even)
 
 
 # Cached: a sweep counts each orbit at every (p, q).
@@ -166,7 +167,7 @@ def _orbit_record(orbit: Diagram) -> _OrbitRecord:
     a, b = map(transpose, even_odd_split(orbit))
     mults = row_profile(orbit).mults
     blocks = tuple(
-        (sum(matched), *_strip_fillings(other))
+        _strip_fillings(other)
         for matched, other in ((a, b), (b, a))
         if all(row % 2 == 0 for row in matched)
     )
@@ -247,19 +248,23 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     Unitary kinds: the cell is (a, b) = (transpose of the even rows,
     transpose of the odd rows), with |a| = n_h and |b| = n_0. A block
     summand holds it only if the label in its matchings factor, a or b, of
-    size r, has all rows even and min(p, q) >= r/2, and then as often as
+    size r, has all rows even, and then as often as
     sign_induction_multiplicity holds the other label at (p - r/2, q - r/2):
     c_odd[i] * even, where (c_odd, even) = _strip_fillings(other label) and
-    i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out of range. One cached
-    record per orbit diagram keeps the cell, n_h, n_0, prod(m + 1), e and
-    (r, c_odd, even) for each block that can hold the cell, so a count at
-    any (p, q) sums at most two products. The diagonal summands of SU never
-    contain the cell, so SU and the double cover share this formula. Proof:
-    the largest part of transpose(d) is the number of rows of d, and it
-    occurs as many times as the smallest row of d is long. That is even for
-    a (built from even rows) and odd for b (built from odd rows), so a != b
-    unless both are empty, i.e. n = 0, which no group allows. A diagonal
-    key (x, x) therefore never equals (a, b).
+    i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out of range. The summand
+    needs min(p, q) >= r/2, and the range of i already ensures it: the other
+    label has size p + q - r and len(c_odd) - 1 odd rows, so a block with
+    min(p, q) < r/2 has |p - q| > p + q - r >= len(c_odd) - 1, which puts i
+    outside 0 <= i < len(c_odd). One cached record per orbit diagram keeps
+    the cell, n_h, n_0, prod(m + 1), e and (c_odd, even) for each block that
+    can hold the cell, so a count at any (p, q) sums at most two products.
+    The diagonal summands of SU never contain the cell, so SU and the double
+    cover share this formula. Proof: the largest part of transpose(d) is
+    the number of rows of d, and it occurs as many times as the smallest row
+    of d is long. That is even for a (built from even rows) and odd for b
+    (built from odd rows), so a != b unless both are empty, i.e. n = 0,
+    which no group allows. A diagonal key (x, x) therefore never equals
+    (a, b).
 
     Complex kinds: an unequal orbit pair has no attached representations at
     all, so it counts 0. For an equal pair the cell is (a, b, a, b), and the
@@ -287,9 +292,9 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
         return (record.total + 3 * record.all_even) // 2
     p, q = group.p, group.q
     count = 0
-    for r, c_odd, even in record.blocks:
+    for c_odd, even in record.blocks:
         i = (len(c_odd) - 1 + p - q) // 2
-        if min(p, q) >= r // 2 and 0 <= i < len(c_odd):
+        if 0 <= i < len(c_odd):
             count += c_odd[i] * even
     return count
 

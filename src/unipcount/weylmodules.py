@@ -135,7 +135,10 @@ class ModuleDecomp:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModuleDecomp":
-        return cls(obj["shape"], [(entry["key"], entry["m"]) for entry in obj["mults"]])
+        try:
+            return cls(obj["shape"], [(entry["key"], entry["m"]) for entry in obj["mults"]])
+        except (KeyError, TypeError) as exc:  # an object not of to_json_obj's form
+            raise ShapeMismatchError(f"not a module object: {exc!r}") from None
 
 
 def _built(shape: tuple[int, ...], mults: dict[ModuleKey, int]) -> ModuleDecomp:

@@ -75,6 +75,10 @@ def test_bad_orbit_exits_1(cli_runner):
     assert "error:" in err
 
 
+def test_chartable_negative_degree_exits_1(cli_runner):
+    assert cli_runner(["chartable", "--n", "-1"]) == (1, "", "error: cannot partition a negative total: -1\n")
+
+
 def test_usage_errors_exit_2(cli_runner):
     code, _, _ = cli_runner(["count", "--group", "su", "--orbit", "1,1"])
     assert code == 2

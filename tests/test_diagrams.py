@@ -11,7 +11,6 @@ from unipcount.diagrams import (
     coset_signature,
     even_odd_split,
     format_diagram,
-    make_diagram,
     parse_orbit,
     row_profile,
     row_union,
@@ -22,26 +21,25 @@ from unipcount.errors import InvalidPartitionError
 diagrams_up_to = lambda n: [d for m in range(n + 1) for d in all_diagrams(m)]
 
 
+# parse_orbit takes the rows in any order and sorts them.
 @pytest.mark.parametrize(
     "parts,expected",
-    [([3, 1], (3, 1)), ([1, 3, 1], (3, 1, 1)), ([], ()), ([5], (5,))],
+    [("3,1", (3, 1)), ("1,3,1", (3, 1, 1)), ("1,,2", (2, 1)), ("5", (5,))],
 )
-def test_make_diagram_sorts(parts, expected):
-    assert make_diagram(parts) == expected
+def test_parse_orbit_sorts(parts, expected):
+    assert parse_orbit(parts) == expected
 
 
-@pytest.mark.parametrize("parts", [[2, 0], [0], [-1, 3], [1, 1, -2]])
-def test_make_diagram_rejects_nonpositive(parts):
-    with pytest.raises(InvalidPartitionError):
-        make_diagram(parts)
+@pytest.mark.parametrize("parts", ["2,0", "0", "-1,3", "1,1,-2"])
+def test_parse_orbit_rejects_nonpositive(parts):
+    with pytest.raises(InvalidPartitionError, match="positive integers"):
+        parse_orbit(parts)
 
 
 @pytest.mark.parametrize("parts", [(2.7, 1), ("2", 1), (3, 1.5), (2, 1, 0.5)])
 def test_rows_that_are_not_whole_numbers_are_rejected_not_truncated(parts):
     with pytest.raises(InvalidPartitionError, match="whole numbers"):
         check_diagram(parts)
-    with pytest.raises(InvalidPartitionError, match="whole numbers"):
-        make_diagram(parts)
 
 
 @pytest.mark.parametrize("row", ["x", float("nan"), float("inf"), None, [1]])
@@ -51,14 +49,11 @@ def test_rows_int_cannot_convert_raise_the_engine_error(row):
     for parts in [(row,), (2, row)]:
         with pytest.raises(InvalidPartitionError, match="whole numbers"):
             check_diagram(parts)
-        with pytest.raises(InvalidPartitionError, match="whole numbers"):
-            make_diagram(parts)
 
 
 def test_whole_number_rows_coerce_to_int():
     assert check_diagram((2.0, 1)) == (2, 1)
-    assert make_diagram([1.0, 3]) == (3, 1)
-    assert all(type(p) is int for p in check_diagram((2.0, 1)) + make_diagram([1.0, 3]))
+    assert all(type(p) is int for p in check_diagram((2.0, 1)))
 
 
 @pytest.mark.parametrize(
@@ -76,7 +71,7 @@ def test_transpose_involution_exhaustive():
 
 @given(st.lists(st.integers(1, 20), max_size=14))
 def test_transpose_involution_random(parts):
-    d = make_diagram(parts)
+    d = tuple(sorted(parts, reverse=True))
     assert transpose(transpose(d)) == d
     assert sum(transpose(d)) == sum(d)
 
@@ -128,7 +123,7 @@ def test_row_union_size_additive():
     st.lists(st.integers(1, 10), max_size=8), st.lists(st.integers(1, 10), max_size=8)
 )
 def test_row_union_commutes(a, b):
-    i, j = make_diagram(a), make_diagram(b)
+    i, j = tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True))
     assert row_union(i, j) == row_union(j, i)
 
 
@@ -169,6 +164,18 @@ def test_orbit_text_roundtrip():
         parse_orbit("a,b")
     with pytest.raises(InvalidPartitionError):
         parse_orbit("")
+
+
+@pytest.mark.parametrize("value", [3, None, (2, 1), b"2,1"])
+def test_parse_orbit_refuses_anything_but_text(value):
+    with pytest.raises(InvalidPartitionError, match="cannot parse orbit"):
+        parse_orbit(value)
+
+
+@pytest.mark.parametrize("d", [3, None, 2.5])
+def test_check_diagram_refuses_a_value_that_is_not_a_sequence(d):
+    with pytest.raises(InvalidPartitionError, match="a diagram is a sequence"):
+        check_diagram(d)
 
 
 # Reference: check_diagram as it was before its results were cached, with

@@ -1,0 +1,112 @@
+"""The package surface: `import unipcount` exports the query layer only, and
+every exported callable refuses a bad value with an `EngineError` subclass.
+
+A newly exported name fails the first test until it is added here on
+purpose, with bad values for the second.
+"""
+
+import types
+
+import pytest
+
+import unipcount
+from unipcount import (
+    EngineError,
+    GroupSpec,
+    ModuleDecomp,
+    OrbitSpec,
+    cell_rep,
+    character_table,
+    coherent_module,
+    count_record,
+    count_unipotent,
+    enumeration_record,
+    make_group,
+    parse_orbit,
+)
+
+ERRORS = {
+    "EngineError", "InvalidPartitionError", "DegreeMismatchError", "ShapeMismatchError",
+    "UnsupportedGroupError", "OracleBoundError",
+}
+QUERY_LAYER = {
+    "make_group", "GroupKind", "GroupSpec", "OrbitSpec", "parse_orbit",
+    "count_unipotent", "cell_rep", "coherent_module", "enumeration_record", "count_record",
+    "ModuleDecomp", "character_table", *ERRORS,
+}
+# GroupKind(...) is the enum's own lookup, and an error class is raised, not
+# called with input.
+EXEMPT = {"GroupKind", *ERRORS}
+
+KINDS = ("not-whole", "negative", "non-partition")
+GROUP, ORBIT = make_group("su", p=2, q=1), OrbitSpec((2, 1))
+
+
+# A query receives its bad value through the spec that carries it: a group
+# from make_group, an orbit from _replace or OrbitSpec.
+def _query_cases(query):
+    return (
+        lambda: query(make_group("su", p=1.5, q=1.5), ORBIT),
+        lambda: query(GROUP, ORBIT._replace(first=(2, -1, 2))),
+        lambda: query(GROUP, OrbitSpec((1, 2))),
+    )
+
+
+CASES = {
+    "make_group": (
+        lambda: make_group("gl-r", n=2.5),
+        lambda: make_group("su", p=-1, q=2),
+        lambda: make_group("gl-r", n=(2, 1)),
+    ),
+    "GroupSpec": (
+        lambda: GroupSpec("su", 3, 1.5, 1.5),
+        lambda: GroupSpec("gl-r", -1),
+        lambda: GroupSpec("gl-r", (2, 1)),
+    ),
+    "OrbitSpec": (
+        lambda: OrbitSpec((2.5, 1)),
+        lambda: OrbitSpec((2, -1)),
+        lambda: OrbitSpec((1, 2)),
+    ),
+    "ModuleDecomp": (
+        lambda: ModuleDecomp((2.5,)),
+        lambda: ModuleDecomp((2,), {((2,),): -1}),
+        lambda: ModuleDecomp((3,), {((1, 2),): 1}),
+    ),
+    "character_table": (
+        lambda: character_table(2.5),
+        lambda: character_table(-1),
+        lambda: character_table((2, 1)),
+    ),
+    "parse_orbit": (
+        lambda: parse_orbit("2.5,1"),
+        lambda: parse_orbit("2,-1"),
+        lambda: parse_orbit(3),
+    ),
+    **{
+        query.__name__: _query_cases(query)
+        for query in (count_unipotent, cell_rep, coherent_module, enumeration_record, count_record)
+    },
+}
+
+
+def test_the_package_exports_exactly_the_query_layer():
+    exported = {
+        name for name, value in vars(unipcount).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == QUERY_LAYER
+
+
+def test_every_exported_callable_has_bad_values_or_is_exempt():
+    assert all(callable(getattr(unipcount, name)) for name in QUERY_LAYER)
+    assert set(CASES) == QUERY_LAYER - EXEMPT
+
+
+@pytest.mark.parametrize(
+    "name,kind", [pytest.param(name, kind, id=f"{name}-{kind}") for name in CASES for kind in KINDS]
+)
+def test_every_exported_callable_refuses_bad_values_with_an_engine_error(name, kind):
+    with pytest.raises(EngineError) as caught:
+        CASES[name][KINDS.index(kind)]()
+    assert type(caught.value) is not EngineError

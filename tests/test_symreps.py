@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from unipcount.diagrams import all_diagrams, transpose
-from unipcount.errors import DegreeMismatchError
+from unipcount.errors import DegreeMismatchError, InvalidPartitionError
 from reference import irreducible_character
 from unipcount.oracle import lr_coefficient
 from unipcount.symreps import (
@@ -188,6 +188,16 @@ def test_character_table_disk_cache_roundtrip(tmp_path):
     symreps._TABLES.pop(6, None)
     loaded = character_table(6, cache_dir=tmp_path)
     assert loaded == fresh
+
+
+def test_character_table_takes_only_a_whole_degree(tmp_path):
+    assert character_table(3.0, cache_dir=tmp_path) == character_table(3)
+    assert [p.name for p in tmp_path.iterdir()] == ["chartable_3.json"]
+    for n in [2.5, "3", None, float("nan"), (2, 1)]:
+        with pytest.raises(InvalidPartitionError, match="not a whole number"):
+            character_table(n)
+    with pytest.raises(InvalidPartitionError, match="negative total: -1"):
+        character_table(-1)
 
 
 def test_character_table_ignores_corrupt_cache(tmp_path):

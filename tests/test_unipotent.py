@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unipcount import unipotent, weylmodules
-from unipcount.diagrams import all_diagrams, make_diagram, row_profile
+from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
     InvalidPartitionError,
@@ -221,7 +221,7 @@ def test_sl_r_count_formula():
 
 @given(st.lists(st.integers(1, 8), min_size=2, max_size=8))
 def test_sl_r_signed_pairs_only_at_fixed_points(parts):
-    orbit = make_diagram(parts)
+    orbit = tuple(sorted(parts, reverse=True))
     mults = row_profile(orbit).mults
     for a, sign in _params("sl-r", orbit):
         doubled = tuple(2 * x for x in a)
@@ -392,6 +392,15 @@ def test_orbit_spec_validates():
     with pytest.raises(InvalidPartitionError):
         count_unipotent(make_group("su", p=3, q=0), OrbitSpec((4, -1)))
 
+
+def test_orbit_spec_replace_and_make_are_checked():
+    # _replace builds with _make, which goes through the same check.
+    spec = OrbitSpec((2, 1))
+    for fields in [dict(first=(2, -1, 2)), dict(second=(1, 2))]:
+        with pytest.raises(InvalidPartitionError):
+            spec._replace(**fields)
+    assert OrbitSpec._make([(2, 1)]) == OrbitSpec((2, 1))
+    assert spec._replace(second=(2.0, 1.0)) == OrbitSpec((2, 1), (2, 1))
 
 def test_orbit_spec_refuses_rows_that_are_not_whole_numbers():
     # int() would truncate (2.7, 1) to (2, 1), and gl-r would then count 4.

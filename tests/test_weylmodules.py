@@ -324,6 +324,24 @@ def test_json_refuses_entries_that_are_not_whole_numbers():
     assert type(whole.shape[0]) is int and type(whole.mults[((2,),)]) is int
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        {"shape": [2]},
+        {"shape": [2], "mults": [{"key": [[2]]}]},
+        {"shape": [2], "mults": [{"key": 2, "m": 1}]},
+        {"shape": [2], "mults": [[[[2]], 1]]},
+        {"shape": 2, "mults": []},
+        [[2], []],
+        None,
+    ],
+)
+def test_json_of_the_wrong_form_raises_shape_mismatch(obj):
+    with pytest.raises(ShapeMismatchError, match="not a module object"):
+        ModuleDecomp.from_json_obj(obj)
+
+
 NOT_WHOLE = ["x", nan, inf, None, [1], "2", 2.5]
 
 
