@@ -169,23 +169,18 @@ def _cmd_chartable(parser, args) -> int:
     table = character_table(args.n, cache_dir=cache_dir)
     classes = all_diagrams(args.n)
     if args.format == "json":
-        _emit(
-            {
-                "degree": args.n,
-                "classes": [list(mu) for mu in classes],
-                "table": _table_rows(args.n, table),
-            }
-        )
+        _emit({"degree": args.n, "classes": [list(mu) for mu in classes], "table": _table_rows(table)})
         return 0
     names = [diagram_text(mu) or "-" for mu in classes]
+    # The widest value text in a row is that of its largest or its smallest
+    # value, so each value becomes text once, in its own row.
     width = max(
-        [len(name) for name in names]
-        + [len(str(table[lam][mu])) for lam in classes for mu in classes]
+        max(map(len, names)),
+        *(len(str(extreme(row))) for row in table.values() for extreme in (max, min)),
     )
     print("  ".join(["label".ljust(width)] + [name.rjust(width) for name in names]))
-    for lam in classes:
-        row = [str(table[lam][mu]).rjust(width) for mu in classes]
-        print("  ".join([(diagram_text(lam) or "-").ljust(width)] + row))
+    for name, row in zip(names, table.values()):
+        print("  ".join([name.ljust(width)] + [str(v).rjust(width) for v in row]))
     return 0
 
 

@@ -12,7 +12,7 @@ approximating.
 from functools import cache
 from itertools import product
 from math import factorial, prod
-from operator import gt, mul
+from operator import getitem, gt, mul
 from typing import Iterator, Sequence
 
 from . import unipotent, weylmodules
@@ -86,23 +86,26 @@ def matchings_character(r: int, bound: int = MATCHINGS_BOUND) -> ClassFunction:
 
 
 @cache
-def _fusion(
-    sub_degrees: tuple[int, ...],
-) -> tuple[tuple[Diagram, tuple[tuple[int, tuple[Diagram, ...]], ...]], ...]:
-    """For every class of S_n, the (weight, subclasses) terms of the
-    class-fusion formula from the product of the S_d for d in sub_degrees.
-    Each tuple of subclasses fuses into one class, the union of their
-    cycles, and its weight z_G(cls) / prod z_H(sc) is the integer index
-    [C_G(h) : C_H(h)]."""
-    terms: dict[Diagram, list] = {cls: [] for cls in all_diagrams(sum(sub_degrees))}
-    for subclasses in product(*map(all_diagrams, sub_degrees)):
+def _fusion(sub_degrees: tuple[int, ...]) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """For every class of S_n, in all_diagrams order, the (weight,
+    positions) terms of the class-fusion formula from the product of the S_d
+    for d in sub_degrees. The positions pick one subclass of each factor, in
+    all_diagrams(d) order; the subclasses fuse into one class, the union of
+    their cycles, and the weight z_G(cls) / prod z_H(sc) is the integer
+    index [C_G(h) : C_H(h)]."""
+    classes = all_diagrams(sum(sub_degrees))
+    terms: list[list] = [[] for _ in classes]
+    index = {cls: i for i, cls in enumerate(classes)}
+    factors = [all_diagrams(d) for d in sub_degrees]
+    for positions in product(*(range(len(f)) for f in factors)):
+        subclasses = [f[i] for f, i in zip(factors, positions)]
         cls = tuple(sorted(sum(subclasses, ()), reverse=True))
         weight, rem = divmod(
             centralizer_order(cls), prod(map(centralizer_order, subclasses))
         )
         assert rem == 0
-        terms[cls].append((weight, subclasses))
-    return tuple((cls, tuple(t)) for cls, t in terms.items())
+        terms[index[cls]].append((weight, positions))
+    return tuple(map(tuple, terms))
 
 
 def induced_character(
@@ -122,20 +125,23 @@ def induced_character(
             raise DegreeMismatchError(
                 f"factor degree {d} does not match class function degree {f.degree}"
             )
-    values = _induce(sub_degrees, [f.values for f in sub_characters])
-    return ClassFunction(sum(sub_degrees), values)
+    n = sum(sub_degrees)
+    row = _induce(sub_degrees, [_row(f) for f in sub_characters])
+    return ClassFunction(n, dict(zip(all_diagrams(n), row)))
 
 
-def _induce(sub_degrees: tuple[int, ...], subvalues: Sequence[dict]) -> dict[Diagram, int]:
-    """The fusion sum: the induced character's value at every class, from
-    the values of one character per factor, keyed by class."""
-    return {
-        cls: sum(
-            weight * prod(v[sc] for v, sc in zip(subvalues, subclasses))
-            for weight, subclasses in terms
-        )
-        for cls, terms in _fusion(sub_degrees)
-    }
+def _row(cf: ClassFunction) -> tuple[int, ...]:
+    """The values of a class function in all_diagrams order, as a table row."""
+    return tuple(map(cf.values.__getitem__, all_diagrams(cf.degree)))
+
+
+def _induce(sub_degrees: tuple[int, ...], rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The fusion sum: the induced character's row, from the row of one
+    character per factor."""
+    return tuple(
+        sum(weight * prod(map(getitem, rows, positions)) for weight, positions in terms)
+        for terms in _fusion(sub_degrees)
+    )
 
 
 def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
@@ -191,19 +197,19 @@ def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
 
 
 @cache
-def _class_sizes(n: int) -> tuple[tuple[Diagram, int], ...]:
-    """(class, n! / z_class) for every conjugacy class of S_n."""
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """n! / z_mu for every conjugacy class mu of S_n, in all_diagrams order."""
     nfact = factorial(n)
-    return tuple((mu, nfact // centralizer_order(mu)) for mu in all_diagrams(n))
+    return tuple(nfact // centralizer_order(mu) for mu in all_diagrams(n))
 
 
-def _pairings(n: int, values: dict[Diagram, int]) -> Iterator[tuple[Diagram, int]]:
+def _pairings(n: int, values: Sequence[int]) -> Iterator[tuple[Diagram, int]]:
     """(lam, n! times the multiplicity of chi^lam in the degree-n class
-    function with these values) for every label lam: the integer sum over
-    classes of (n! / z_mu) * values[mu] * chi^lam(mu), weighted once."""
-    weighted = [size * values[mu] for mu, size in _class_sizes(n)]
+    function with this row of values) for every label lam: the integer sum
+    over classes of (n! / z_mu) * values[mu] * chi^lam(mu), weighted once."""
+    weighted = list(map(mul, _class_sizes(n), values))
     for lam, row in character_table(n).items():
-        yield lam, sum(map(mul, weighted, row.values()))
+        yield lam, sum(map(mul, weighted, row))
 
 
 def decompose(cf: ClassFunction) -> dict[Diagram, int]:
@@ -211,7 +217,7 @@ def decompose(cf: ClassFunction) -> dict[Diagram, int]:
     products; multiplicities must come out integral."""
     nfact = factorial(cf.degree)
     out = {}
-    for lam, pairing in _pairings(cf.degree, cf.values):
+    for lam, pairing in _pairings(cf.degree, _row(cf)):
         mult, rem = divmod(pairing, nfact)
         assert rem == 0
         if mult:
@@ -227,12 +233,10 @@ def orthogonality_check(n: int) -> bool:
             f"orthogonality sweep bound exceeded: n = {n} > {ORTHOGONALITY_BOUND}"
         )
     labels = all_diagrams(n)
-    table = character_table(n)
+    rows = list(character_table(n).values())
     nfact = factorial(n)
-    rows = [[table[lam][mu] for mu in labels] for lam in labels]
-    sizes = [size for _, size in _class_sizes(n)]
     for i, row in enumerate(rows):
-        weighted = list(map(mul, sizes, row))
+        weighted = list(map(mul, _class_sizes(n), row))
         for j, other in enumerate(rows):
             if sum(map(mul, weighted, other)) != (nfact if i == j else 0):
                 return False
@@ -248,24 +252,6 @@ def parameter_tuples(profile: RowProfile) -> tuple[tuple[int, ...], ...]:
     """The full parameter box, 0..m_l in each coordinate, in lexicographic
     order by explicit cartesian product."""
     return tuple(product(*(range(m + 1) for m in profile.mults)))
-
-
-def verify_counting_equality(p: int, q: int, orbit: Diagram) -> bool:
-    """Whether the SU(p, q) count and the double-cover count agree at the
-    orbit: the cell multiplicities in the two built modules, and the direct
-    counts of both groups."""
-    groups = [unipotent.make_group(kind, p=p, q=q) for kind in _SU_AND_COVER]
-    spec = unipotent.OrbitSpec(orbit)
-    modules = [unipotent.coherent_module(g, spec) for g in groups]
-    return _counts_agree(groups, modules, spec, unipotent.cell_rep(groups[0], spec))
-
-
-def _counts_agree(groups, modules, spec: unipotent.OrbitSpec, cell: tuple) -> bool:
-    """Whether the SU and double-cover modules hold the cell as often as each
-    other and as the direct count of each group."""
-    counts = [m.multiplicity(cell) for m in modules]
-    counts += [unipotent.count_unipotent(g, spec) for g in groups]
-    return len(set(counts)) == 1
 
 
 def run_checks(max_size: int = 8) -> list[dict]:
@@ -317,7 +303,7 @@ def run_checks(max_size: int = 8) -> list[dict]:
     sweep(
         "hook-dimension",
         range(1, min(max_size, TABLE_BOUND) + 1),
-        each_diagram(lambda n, lam: irrep_dimension(lam) == character_table(n)[lam][(1,) * n]),
+        each_diagram(lambda n, lam: irrep_dimension(lam) == character_table(n)[lam][-1]),
     )
     for n in range(1, min(max_size, 10) + 1):
         total = sum(irrep_dimension(lam) ** 2 for lam in all_diagrams(n))
@@ -352,8 +338,8 @@ def _lr_mismatches(total: int) -> Iterator[str]:
     for a in range(0, total + 1):
         b = total - a
         table_a, table_b = character_table(a), character_table(b)
-        for lam, mu in product(table_a, table_b):
-            induced = _induce((a, b), (table_a[lam], table_b[mu]))
+        for (lam, row_a), (mu, row_b) in product(table_a.items(), table_b.items()):
+            induced = _induce((a, b), (row_a, row_b))
             # The labels come from all_diagrams, so _lr needs no checks.
             for nu, pairing in _pairings(total, induced):
                 lr = _lr(lam, mu, nu)
@@ -390,8 +376,9 @@ def _regular_dimension_mismatches(n: int) -> Iterator[str]:
 
 
 def _counting_mismatches(n: int) -> Iterator[str]:
-    """Every (p, q, orbit) of size n where the SU and double-cover modules
-    and counts disagree. A module depends only on (p, q, coset signature),
+    """Every (p, q, orbit) of size n where the SU and double-cover counts
+    disagree: the cell's multiplicity in each group's module, and each
+    group's direct count. A module depends only on (p, q, coset signature),
     so each is built once."""
     groups = [
         [unipotent.make_group(kind, p=p, q=n - p) for kind in _SU_AND_COVER]
@@ -405,7 +392,9 @@ def _counting_mismatches(n: int) -> Iterator[str]:
         for p, pair in enumerate(groups):
             if (p, sig) not in modules:
                 modules[p, sig] = [unipotent.coherent_module(g, spec) for g in pair]
-            if not _counts_agree(pair, modules[p, sig], spec, cell):
+            counts = {m.multiplicity(cell) for m in modules[p, sig]}
+            counts.update(unipotent.count_unipotent(g, spec) for g in pair)
+            if len(counts) != 1:
                 yield f"(p,q)=({p},{n - p}) orbit={diagram_text(orbit)}"
 
 

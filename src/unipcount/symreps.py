@@ -3,7 +3,9 @@
 Character tables are built one class column at a time by the
 Murnaghan-Nakayama border-strip rule, optionally cached on disk, and
 dimensions come from the hook-length formula. Everything is integer
-arithmetic.
+arithmetic. A table maps each label to its row, the tuple of its values at
+the classes in all_diagrams order; the disk cache and the CLI's JSON hold
+the same rows.
 
 Irreducible representations of S_n are labeled by diagrams of size n, with
 the one-row diagram the trivial representation and the one-column diagram
@@ -46,24 +48,6 @@ def _strip_additions(label: Diagram, length: int) -> tuple[tuple[Diagram, int], 
         larger = (x - (nrows - 1 - k) for k, x in enumerate(newbeta))
         out.append((tuple(p for p in larger if p), -1 if (i - j) % 2 else 1))
     return tuple(out)
-
-
-@cache
-def _column(cls: Diagram) -> dict[IrrepLabel, int]:
-    """The nonzero values chi^lam(cls) over every label lam of size |cls|.
-
-    The Murnaghan-Nakayama rule run forward: every value of the column of
-    cls[1:] is pushed through the strips of length cls[0] that can be added
-    to its label.
-    """
-    if not cls:
-        return {(): 1}
-    out: dict[IrrepLabel, int] = {}
-    length = cls[0]
-    for smaller, value in _column(cls[1:]).items():
-        for larger, sign in _strip_additions(smaller, length):
-            out[larger] = out.get(larger, 0) + sign * value
-    return {lam: v for lam, v in out.items() if v}
 
 
 @cache
@@ -125,20 +109,21 @@ class ClassFunction:
 
 # Per-degree memo. Builds are pure and idempotent, so a race between two
 # writers publishes equal tables; readers only ever see complete tables.
-_TABLES: dict[int, dict[IrrepLabel, dict[Diagram, int]]] = {}
+_TABLES: dict[int, dict[IrrepLabel, tuple[int, ...]]] = {}
 
 
-def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLabel, dict[Diagram, int]]:
-    """Full character table of S_n, keyed [label][class] and memoized per
-    degree. Labels and the classes of every row run in all_diagrams order.
+def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLabel, tuple[int, ...]]:
+    """Full character table of S_n, memoized per degree: each label mapped
+    to its row, the tuple of its values at the classes. Labels and the
+    classes of every row run in all_diagrams order.
 
     With cache_dir set, rows are loaded from and stored to one JSON file per
     degree (chartable_<n>.json): a map from the label's comma-separated form
-    to its row of class values, labels and classes both in decreasing
-    lexicographic order. A table not yet memoized is loaded from its file,
-    or computed; either way the table is written when its file is missing or
-    fails to load. A whole n such as 3.0 coerces to 3; any other n that is
-    not a whole number >= 0 is refused.
+    to its row, labels and classes both in decreasing lexicographic order. A
+    table not yet memoized is loaded from its file, or computed; either way
+    the table is written when its file is missing or fails to load. A whole
+    n such as 3.0 coerces to 3; any other n that is not a whole number >= 0
+    is refused.
     """
     if type(n) is not int:  # only such an n pays for whole_numbers
         if whole_numbers((n,)) is None:
@@ -152,27 +137,54 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
         if table is None:
             table = loaded
     if table is None:
-        labels = all_diagrams(n)
-        columns = [(mu, _column(mu)) for mu in labels]
-        table = {lam: {mu: col.get(lam, 0) for mu, col in columns} for lam in labels}
+        table = _build_table(n)
     _TABLES[n] = table
     if cache_dir is not None and n > 0 and not on_disk:
         _store_table(n, table, cache_dir)
     return table
 
 
+def _build_table(n: int) -> dict[IrrepLabel, tuple[int, ...]]:
+    """The Murnaghan-Nakayama rule run forward, one class column at a time.
+
+    The column of a class holds the nonzero values chi^lam(cls) by label.
+    It comes from the column of the suffix cls[1:], every value of which is
+    pushed through the strips of length cls[0] that can be added to its
+    label. Suffixes are shared between classes, so their columns are kept in
+    a memo that lives only as long as the build: a loop, not a recursive
+    closure, fills it, so no reference cycle keeps it alive afterwards.
+    """
+    classes = all_diagrams(n)
+    memo: dict[Diagram, dict[IrrepLabel, int]] = {(): {(): 1}}
+    for cls in classes:
+        for start in range(len(cls) - 1, -1, -1):
+            suffix = cls[start:]
+            if suffix in memo:
+                continue
+            column: dict[IrrepLabel, int] = {}
+            for smaller, value in memo[suffix[1:]].items():
+                for larger, sign in _strip_additions(smaller, suffix[0]):
+                    column[larger] = column.get(larger, 0) + sign * value
+            memo[suffix] = {lam: v for lam, v in column.items() if v}
+    position = {lam: i for i, lam in enumerate(classes)}
+    rows = [[0] * len(classes) for _ in classes]
+    for j, cls in enumerate(classes):
+        for lam, value in memo[cls].items():
+            rows[position[lam]][j] = value
+    return dict(zip(classes, map(tuple, rows)))
+
+
 def _table_path(n: int, cache_dir: str | Path) -> Path:
     return Path(cache_dir) / f"chartable_{n}.json"
 
 
-def _table_rows(n: int, table: dict[IrrepLabel, dict[Diagram, int]]) -> dict[str, list[int]]:
+def _table_rows(table: dict[IrrepLabel, tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
     """The table as the cache file and `chartable --format json` write it:
-    each label's comma-separated form mapped to its row of class values."""
-    classes = all_diagrams(n)
-    return {diagram_text(lam): [table[lam][mu] for mu in classes] for lam in classes}
+    each label's comma-separated form mapped to its row."""
+    return {diagram_text(lam): row for lam, row in table.items()}
 
 
-def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram, int]] | None:
+def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, tuple[int, ...]] | None:
     path = _table_path(n, cache_dir)
     if not path.is_file():
         return None
@@ -183,23 +195,16 @@ def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, dict[Diagram,
     except (OSError, ValueError):  # ValueError: bytes that are not text, or not JSON
         return None
     classes = all_diagrams(n)
-    expected = [diagram_text(lam) for lam in classes]
-    if not isinstance(raw, dict) or list(raw) != expected:
+    if not isinstance(raw, dict) or list(raw) != [diagram_text(lam) for lam in classes]:
         return None
-    table = {}
-    for lam, key in zip(classes, expected):
-        row = raw[key]
-        if (
-            not isinstance(row, list)
-            or len(row) != len(classes)
-            or not all(type(v) is int for v in row)  # JSON true/false load as bool
-        ):
-            return None
-        table[lam] = dict(zip(classes, row))
-    return table
+    # Each row must be a list of len(classes) ints; JSON true/false load as bool.
+    rows = [tuple(row) for row in raw.values() if isinstance(row, list) and len(row) == len(classes)]
+    if len(rows) < len(classes) or any(type(v) is not int for row in rows for v in row):
+        return None
+    return dict(zip(classes, rows))
 
 
-def _store_table(n: int, table: dict[IrrepLabel, dict[Diagram, int]], cache_dir: str | Path) -> None:
+def _store_table(n: int, table: dict[IrrepLabel, tuple[int, ...]], cache_dir: str | Path) -> None:
     path = _table_path(n, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Write a temp file beside the target and rename it into place, so a
@@ -211,7 +216,7 @@ def _store_table(n: int, table: dict[IrrepLabel, dict[Diagram, int]], cache_dir:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(_table_rows(n, table)))
+            fh.write(json.dumps(_table_rows(table)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -18,7 +18,7 @@ from .diagrams import (
     row_profile,
     transpose,
 )
-from .errors import DegreeMismatchError, UnsupportedGroupError, whole_numbers
+from .errors import DegreeMismatchError, InvalidPartitionError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
     _strip_fillings,
@@ -44,6 +44,8 @@ COMPLEX_KINDS = frozenset({GroupKind.GL_C, GroupKind.SL_C})
 HERMITIAN_KINDS = frozenset({GroupKind.SU, GroupKind.U_COVER})
 QUATERNIONIC_KINDS = frozenset({GroupKind.GL_H, GroupKind.SL_H})
 ENUMERATED_KINDS = frozenset({GroupKind.GL_R, GroupKind.SL_R})
+_CELL_KINDS = HERMITIAN_KINDS | COMPLEX_KINDS  # the kinds with a cell and a module
+_COUNTED_KINDS = frozenset(GroupKind) - QUATERNIONIC_KINDS
 
 
 # Kind and least n by value; a str-Enum member hashes as its value, so it finds its own entry.
@@ -133,23 +135,32 @@ class OrbitSpec(_Orbit):
         return self.second is not None
 
 
-def _check_orbit(group: GroupSpec, orbit: OrbitSpec) -> None:
-    """The orbit fits the group: an ordered pair of diagrams for the complex
-    kinds and a single diagram otherwise, each diagram of size n."""
+def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: str) -> GroupKind:
+    """The group's kind, once a query may run on it: the group and orbit
+    are specs, the query serves the kind (or refusal names it), and the
+    orbit fits the group: an ordered pair of diagrams for the complex kinds
+    and a single diagram otherwise, each diagram of size n."""
+    if not isinstance(group, GroupSpec):
+        raise UnsupportedGroupError(f"a group is a GroupSpec from make_group, got {group!r}")
+    if not isinstance(orbit, OrbitSpec):
+        raise InvalidPartitionError(f"an orbit is an OrbitSpec, got {orbit!r}")
     kind = group.kind
+    if kind not in kinds:
+        raise UnsupportedGroupError(refusal.format(kind.value))
     if kind in COMPLEX_KINDS:
-        if not orbit.is_pair:
+        if orbit.second is None:  # is_pair, without a property call per query
             raise DegreeMismatchError(f"kind {kind.value} takes an ordered pair of diagrams")
         sizes = (sum(orbit.first), sum(orbit.second))
         if sizes != (group.n, group.n):
             raise DegreeMismatchError(f"orbit pair sizes {sizes} do not match n = {group.n}")
     else:
-        if orbit.is_pair:
+        if orbit.second is not None:
             raise DegreeMismatchError(f"kind {kind.value} takes a single diagram")
         if sum(orbit.first) != group.n:
             raise DegreeMismatchError(
                 f"orbit size {sum(orbit.first)} does not match n = {group.n}"
             )
+    return kind
 
 
 class _OrbitRecord(NamedTuple):  # all a count reads at one orbit diagram
@@ -181,10 +192,7 @@ def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
     Hermitian kinds give (transpose of even rows, transpose of odd rows);
     the complex kinds double that tuple, built from the first pair component.
     """
-    kind = group.kind
-    if kind not in HERMITIAN_KINDS and kind not in COMPLEX_KINDS:
-        raise UnsupportedGroupError(f"no cell label for kind {kind.value}")
-    _check_orbit(group, orbit)
+    kind = _check_query(group, orbit, _CELL_KINDS, "no cell label for kind {}")
     pair = _orbit_record(orbit.first).cell
     return pair + pair if kind in COMPLEX_KINDS else pair
 
@@ -192,12 +200,9 @@ def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
 def coherent_module(group: GroupSpec, orbit: OrbitSpec) -> ModuleDecomp:
     """Coherent continuation module of the group at the orbit's coset
     (unitary and complex kinds)."""
-    kind = group.kind
-    if kind not in HERMITIAN_KINDS and kind not in COMPLEX_KINDS:
-        raise UnsupportedGroupError(
-            f"no coherent continuation decomposition for kind {kind.value}"
-        )
-    _check_orbit(group, orbit)
+    kind = _check_query(
+        group, orbit, _CELL_KINDS, "no coherent continuation decomposition for kind {}"
+    )
     sig = coset_signature(orbit.first)
     if kind is GroupKind.GL_C:
         return coh_gl_complex(sig)
@@ -274,15 +279,15 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     and x = b, hence a = b, which the argument above rules out. So the
     count is 1.
     """
-    kind = group.kind
-    if kind in QUATERNIONIC_KINDS:
-        raise UnsupportedGroupError(
-            f"counting for {kind.value} is not implemented: restriction from the "
-            "quaternionic general linear group to the quaternionic special linear "
-            "group is a bijection on special unipotent representations, and the "
-            "general linear side's classification is external to this engine"
-        )
-    _check_orbit(group, orbit)
+    kind = _check_query(
+        group,
+        orbit,
+        _COUNTED_KINDS,
+        "counting for {} is not implemented: restriction from the quaternionic "
+        "general linear group to the quaternionic special linear group is a "
+        "bijection on special unipotent representations, and the general "
+        "linear side's classification is external to this engine",
+    )
     if kind in COMPLEX_KINDS:
         return int(orbit.first == orbit.second)
     record = _orbit_record(orbit.first)
@@ -331,20 +336,18 @@ def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     """JSON-ready record of an enumeration query (real kinds only). Each row
     holds the sign counts a, and the blocks of its induced parameter grouped
     by row length: m - a trivial blocks, then a sign blocks."""
-    if group.kind not in ENUMERATED_KINDS:
-        raise UnsupportedGroupError(
-            f"explicit enumeration is only available for gl-r and sl-r, not {group.kind.value}"
-        )
-    _check_orbit(group, orbit)
+    kind = _check_query(
+        group, orbit, ENUMERATED_KINDS, "explicit enumeration is only available for gl-r and sl-r, not {}"
+    )
     profile = row_profile(orbit.first)
     rows = []
-    for index, (a, sign) in enumerate(_real_params(group.kind, profile)):
+    for index, (a, sign) in enumerate(_real_params(kind, profile)):
         blocks = []
         for length, mult, signs in zip(profile.lengths, profile.mults, a):
             blocks.extend([length, "trivial"] for _ in range(mult - signs))
             blocks.extend([length, "sign"] for _ in range(signs))
         row = {"index": index, "blocks": blocks, "a": list(a)}
-        if group.kind is GroupKind.SL_R:
+        if kind is GroupKind.SL_R:
             row["sign"] = sign
         rows.append(row)
     return {

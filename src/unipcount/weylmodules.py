@@ -45,7 +45,10 @@ class ModuleDecomp:
         shape: Iterable[int],
         mults: Mapping[ModuleKey, int] | Iterable[tuple[ModuleKey, int]] = (),
     ) -> None:
-        given = tuple(shape)
+        try:
+            given = tuple(shape)
+        except TypeError:
+            raise ShapeMismatchError(f"a shape is a sequence of factor degrees, got {shape!r}") from None
         self.shape = whole_numbers(given)
         if self.shape is None:
             raise ShapeMismatchError(f"factor degrees must be whole numbers: {given}")
@@ -69,7 +72,10 @@ class ModuleDecomp:
         self.parts = {}
 
     def _check_key(self, key: Iterable[Iterable[int]]) -> ModuleKey:
-        key = tuple(map(check_diagram, key))
+        try:
+            key = tuple(map(check_diagram, key))
+        except TypeError:  # only a key that is not iterable: check_diagram raises its own
+            raise ShapeMismatchError(f"a key is a sequence of diagrams, got {key!r}") from None
         if tuple(map(sum, key)) != self.shape:
             raise ShapeMismatchError(f"key {key} does not match shape {self.shape}")
         return key
@@ -135,8 +141,8 @@ class ModuleDecomp:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModuleDecomp":
-        try:
-            return cls(obj["shape"], [(entry["key"], entry["m"]) for entry in obj["mults"]])
+        try:  # tuple() here: a shape or key that is not iterable is of the wrong form
+            return cls(tuple(obj["shape"]), [(tuple(e["key"]), e["m"]) for e in obj["mults"]])
         except (KeyError, TypeError) as exc:  # an object not of to_json_obj's form
             raise ShapeMismatchError(f"not a module object: {exc!r}") from None
 

@@ -2,8 +2,17 @@
 
 from functools import cache
 
+from unipcount.diagrams import all_diagrams
 from unipcount.symreps import ClassFunction, character_table
 from unipcount.weylmodules import _block_signature, sign_induction_multiplicity
+
+
+def chi(lam, mu, table=None):
+    """chi^lam(mu): the value at (label, class) of the table, by default
+    character_table(|lam|). Tests read the table only through here, so none
+    depends on its layout."""
+    n = sum(lam)
+    return (table or character_table(n))[lam][all_diagrams(n).index(mu)]
 
 
 # Reference: the irreducible character chi^label as a class function, built
@@ -12,7 +21,7 @@ from unipcount.weylmodules import _block_signature, sign_induction_multiplicity
 @cache
 def irreducible_character(label):
     n = sum(label)
-    return ClassFunction(n, dict(character_table(n)[label]))
+    return ClassFunction(n, {mu: chi(label, mu) for mu in all_diagrams(n)})
 
 
 # Reference: the per-(p, q) block multiplicity that count_unipotent read

@@ -36,6 +36,13 @@ def test_cached_functions_exist_with_cache_info():
 def test_wrapped_names_exist():
     for attr in ("_load_table", "_store_table", "_table_path"):
         assert callable(getattr(unipcount.symreps, attr)), attr
+    # layer_metrics reads the self time of these by name.
+    for name in (
+        "oracle.induced_character", "oracle.decompose", "oracle.orthogonality_check",
+        "symreps.character_table",
+    ):
+        layer, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"unipcount.{layer}"), attr)), name
     for method in (
         "__init__", "__add__", "tensor", "multiplicity", "dimension", "entries",
         "to_json_obj", "from_json_obj",

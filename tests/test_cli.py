@@ -3,6 +3,7 @@ import json
 import resource
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,37 @@ def test_chartable_cache_file_holds_the_json_table(cli_runner, tmp_path):
     assert code == 0
     cached = json.loads((tmp_path / "chartable_5.json").read_text())
     assert cached == json.loads(out)["table"]
+
+
+# SHA-256 of (`chartable --n k` stdout, its `--format json` stdout, the bytes
+# of chartable_k.json) for k = 0..12. A degree-0 table is never stored.
+CHARTABLE_SHA256 = {
+    0: ("a9d392f7f1a0d317b37176b5d8d542d4d4799c9a7d6cb7d02374462ae32e2d44", "e8359d07c84e64adbf98a30240c0ad563c5142d824dc28f8fdab23d24dcf0356", None),
+    1: ("f87491432c3a6770b8e6da9c5205bab680514181c6fe88a17957bf4da787d566", "47cc3e764db4982dbdcd87bd3f5ce0b75b64f122616d64381a421f377de3a96d", "a10379ac32c59d177d2e274a8fbd1b8865e05b94b766587b42305f3e89231474"),
+    2: ("fac0b29063178abb4a7d889c7d43e27fa91cfea9a5cd5b47168ebde579fbaed3", "1d46a2573eaa73a39fd580ff405e516925c46a0262de0739f3e0fee53d3cc7dc", "06474742eee74e2cd1e47fcd301681a8bae076cc21f2c3dd0b07994a7b6baf3c"),
+    3: ("cc1b6e2c3bc8f045f25333c6620a2774032a15ae4bb4b7929c13890e01f2d3da", "37d02f7d16cbff86af91cb5fc65a53a956b318d6931083c9be4457290b0d3bed", "2e2d3f2cb5a4c29ab6121bc8d14648e6b5de403d557aa5cb1b1dcd770b32796b"),
+    4: ("77cd23dde1a3f14410952089cc1bfc57f34f3b28d1e1afc7f1b47c6c920ec3e9", "5ae8b91f33a8d34983351aecf8facf940a17bd7c92cedf116f574dd1ad5cfffe", "158436259e9bf724d9a6052e1dbf6ac7c9ee77625bb0c4522e7e2a15a5cf08fa"),
+    5: ("42e2c2de4d663902a6758caac82eea4c9479f306a8462a7cf2839bce110e40bd", "bb74e68cc784471e17a5c7e571bc742109505106f5bd8788f5a8872371db068d", "8ffe0c997fd9aeeac87b75f0ae2957efcf8d16b9a309f7d2534c4b28324b0275"),
+    6: ("b90b7460f17bb4d1d51ea1ee6e35b0d68a918635bd78361112a70ac92ad43db7", "8dedf1bb2904f3b80aa858096fdf2ab90aa9f6806d6e52d065e602d3863e75f3", "10adf4b4ab8ec31ea12a3257151351230fa11298dc7450e690d8d9e695bf0172"),
+    7: ("386896598329d6b170c82cfff702a3908e2d4ed15667ec13e837ad23f670dbf8", "9e38cb3bc257c0930a3f1f7e02c5edca644a14d8f729fa22dd79d9e92e92c194", "242ea7174bbe9bbb3e48cf7dfbbf86be916a1e59b0c08f3b08e7671398a641a4"),
+    8: ("de6a543b58bafceb17f5ba1fc0d6f306c671866b3931ea9665158668fb2f10ae", "c20af357b8642d0b466513fca7c262d0217c23f72ac16bea7d7c8add66e0cd22", "f3718fabc1d8140de28bf9720e58b4640e50e695abb8cdbcd9d6e177bd901dbe"),
+    9: ("bf7a1fc052ce2bc548cd52369e0b8a0fe8249715bb35209c63a49f13a7d40421", "91a84909e3222e2b39410496736c65bc1a17a6063e64f54958948fd88a4f3650", "62d51946c2e8bf1ff4a785288e9a6f458a34709ee3b0eed240425029d71fc7d8"),
+    10: ("b59adeb67f7d449122921e6fd9a75242cdf3421300794bdf807c7d3a46d82dc3", "5b325b80c564e044accdb0d858cb7c0ea89a628be6de2152ae134bf62ac69a2e", "4e0703bb40e32d11fb06dcfeaa202930432cc0d85caa265bba92c56b0800950a"),
+    11: ("411b001005f51a066021b50cff7b574fe7fec13b4539c088bff50643d0972228", "0b51aaf3806a2d32d5a819729751baa6e4601555d7ab107b39e13ab44d09d7eb", "81e10b97abcd850eb727b0dcd781b09369f2d52bf8d9f4d994e43b9c9d9ee69d"),
+    12: ("38ae9f998fe68274d9a1bc6939f0957b2f90925da605d6548fdb6d853976b27f", "dde7285b7627d611f2b86fa8c0fb55396ae39814d9b283a7b977ffc0cda8087e", "960001eb5470f9b9f4779b21549d84657b83400e9877beb9079c098cd6bb2400"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(CHARTABLE_SHA256))
+def test_chartable_bytes_match_their_recorded_digests(cli_runner, tmp_path, k):
+    table_digest, json_digest, file_digest = CHARTABLE_SHA256[k]
+    digest = lambda data: sha256(data).hexdigest()
+    code, out, err = cli_runner(["chartable", "--n", str(k)])
+    assert (code, err, digest(out.encode())) == (0, "", table_digest)
+    code, out, err = cli_runner(["chartable", "--n", str(k), "--format", "json", "--cache-dir", str(tmp_path)])
+    assert (code, err, digest(out.encode())) == (0, "", json_digest)
+    path = tmp_path / f"chartable_{k}.json"
+    assert (digest(path.read_bytes()) if path.exists() else None) == file_digest
 
 
 @pytest.mark.parametrize("max_size, degrees", [(4, range(1, 5)), (10, range(1, 11))])

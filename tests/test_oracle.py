@@ -4,10 +4,11 @@ from functools import cache
 from hashlib import sha256
 from itertools import product
 from math import factorial, prod
+from operator import getitem
 
 import pytest
 
-from reference import irreducible_character
+from reference import chi, irreducible_character
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, row_profile
 from unipcount.errors import DegreeMismatchError, OracleBoundError
@@ -142,8 +143,10 @@ def test_orthogonality_small_and_bound():
 
 
 def test_orthogonality_detects_corruption(monkeypatch):
-    table = {lam: dict(row) for lam, row in character_table(4).items()}
-    table[(2, 2)][(4,)] += 1
+    classes = all_diagrams(4)
+    bump = lambda lam, mu: chi(lam, mu) + ((lam, mu) == ((2, 2), (4,)))
+    table = {lam: tuple(bump(lam, mu) for mu in classes) for lam in classes}
+    assert chi((2, 2), (4,), table) == chi((2, 2), (4,)) + 1
     monkeypatch.setattr(oracle, "character_table", lambda n: table)
     assert not orthogonality_check(4)
 
@@ -286,8 +289,13 @@ def _degree_tuples(max_total, max_factors):
 def test_fusion_terms_match_the_class_split_recursion():
     # Every degree tuple of total <= 10 with at most 4 factors, zeros included:
     # the same classes in the same order, each with the same multiset of terms.
+    # A term names each factor's subclass by its position in all_diagrams.
     for degrees in _degree_tuples(10, 4):
-        fused = [(cls, Counter(terms)) for cls, terms in oracle._fusion(degrees)]
+        factors = [all_diagrams(d) for d in degrees]
+        fused = [
+            (cls, Counter((weight, tuple(map(getitem, factors, positions))) for weight, positions in terms))
+            for cls, terms in zip(all_diagrams(sum(degrees)), oracle._fusion(degrees), strict=True)
+        ]
         assert fused == _split_fusion(degrees), degrees
 
 

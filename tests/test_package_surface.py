@@ -13,8 +13,11 @@ import unipcount
 from unipcount import (
     EngineError,
     GroupSpec,
+    InvalidPartitionError,
     ModuleDecomp,
     OrbitSpec,
+    ShapeMismatchError,
+    UnsupportedGroupError,
     cell_rep,
     character_table,
     coherent_module,
@@ -40,6 +43,7 @@ EXEMPT = {"GroupKind", *ERRORS}
 
 KINDS = ("not-whole", "negative", "non-partition")
 GROUP, ORBIT = make_group("su", p=2, q=1), OrbitSpec((2, 1))
+QUERIES = (count_unipotent, cell_rep, coherent_module, enumeration_record, count_record)
 
 
 # A query receives its bad value through the spec that carries it: a group
@@ -83,11 +87,18 @@ CASES = {
         lambda: parse_orbit("2,-1"),
         lambda: parse_orbit(3),
     ),
-    **{
-        query.__name__: _query_cases(query)
-        for query in (count_unipotent, cell_rep, coherent_module, enumeration_record, count_record)
-    },
+    **{query.__name__: _query_cases(query) for query in QUERIES},
 }
+
+# Arguments of the wrong type, each refused before it is read: (id, call,
+# error). A query takes its group and orbit as specs only.
+WRONG_TYPE = [
+    *((f"{q.__name__}-tuple-orbit", lambda q=q: q(GROUP, (2, 1)), InvalidPartitionError) for q in QUERIES),
+    *((f"{q.__name__}-str-group", lambda q=q: q("su", ORBIT), UnsupportedGroupError) for q in QUERIES),
+    ("ModuleDecomp-int-shape", lambda: ModuleDecomp(5), ShapeMismatchError),
+    ("ModuleDecomp-int-key", lambda: ModuleDecomp((2,), {5: 1}), ShapeMismatchError),
+    ("ModuleDecomp.multiplicity-int-key", lambda: ModuleDecomp((2,)).multiplicity(5), ShapeMismatchError),
+]
 
 
 def test_the_package_exports_exactly_the_query_layer():
@@ -104,9 +115,14 @@ def test_every_exported_callable_has_bad_values_or_is_exempt():
 
 
 @pytest.mark.parametrize(
-    "name,kind", [pytest.param(name, kind, id=f"{name}-{kind}") for name in CASES for kind in KINDS]
+    "call,error",
+    [
+        *(pytest.param(CASES[name][i], EngineError, id=f"{name}-{kind}")
+          for name in CASES for i, kind in enumerate(KINDS)),
+        *(pytest.param(call, error, id=case) for case, call, error in WRONG_TYPE),
+    ],
 )
-def test_every_exported_callable_refuses_bad_values_with_an_engine_error(name, kind):
-    with pytest.raises(EngineError) as caught:
-        CASES[name][KINDS.index(kind)]()
+def test_every_exported_callable_refuses_bad_values_with_an_engine_error(call, error):
+    with pytest.raises(error) as caught:
+        call()
     assert type(caught.value) is not EngineError
