@@ -90,8 +90,8 @@ def _resolve(parser: argparse.ArgumentParser, args) -> tuple[GroupSpec, OrbitSpe
     if group is None:
         group = make_group(kind, n=sum(first))
     if kind in COMPLEX_KINDS:
-        return group, OrbitSpec(first, parse_orbit(args.orbit2) if args.orbit2 else first)
-    if args.orbit2:
+        return group, OrbitSpec(first, first if args.orbit2 is None else parse_orbit(args.orbit2))
+    if args.orbit2 is not None:
         parser.error(f"--orbit2 is only meaningful for the complex kinds, not {kind.value}")
     return group, OrbitSpec(first)
 

@@ -14,6 +14,8 @@ from .errors import InvalidPartitionError, whole_numbers
 
 Diagram = tuple[int, ...]
 
+_NOT_WHOLE = "row lengths must be whole numbers"
+
 
 def check_diagram(d: Iterable[int]) -> Diagram:
     """Validate an already-canonical diagram (weakly decreasing, positive).
@@ -28,8 +30,8 @@ def check_diagram(d: Iterable[int]) -> Diagram:
         raise InvalidPartitionError(f"a diagram is a sequence of row lengths, got {d!r}") from None
     try:
         return _checked(given)
-    except TypeError:  # an unhashable row misses the cache, not the check
-        return _checked.__wrapped__(given)
+    except TypeError:  # an unhashable row: whole_numbers refuses it unless it is whole
+        return _checked(whole_numbers(given, InvalidPartitionError, _NOT_WHOLE))
 
 
 # Bounded so that a long-lived process fed ever new diagrams stays small. A
@@ -37,9 +39,7 @@ def check_diagram(d: Iterable[int]) -> Diagram:
 # get the same all-int result. A failed check raises and is not cached.
 @lru_cache(maxsize=1 << 14)
 def _checked(given: tuple) -> Diagram:
-    rows = whole_numbers(given)
-    if rows is None:
-        raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
+    rows = whole_numbers(given, InvalidPartitionError, _NOT_WHOLE)
     if rows and min(rows) < 1:
         raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
     if any(map(lt, rows, rows[1:])):

@@ -25,12 +25,25 @@ class OracleBoundError(EngineError):
     """A brute-force oracle was asked to exceed its configured bound."""
 
 
-def whole_numbers(given: tuple) -> tuple[int, ...] | None:
-    """The entries of given as ints, or None unless every one is a whole
-    number: 2.0 and True are, while 2.7, "2", "x", nan, inf and None are
-    not, so a caller refuses them rather than truncating them."""
+def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]:
+    """The entries of given as ints when all are whole numbers: 2.0 and True
+    are; 2.7, "2", "x", nan, inf, None and [1] are refused, not truncated, by
+    error(f"{what}, got {v!r}") for the first such v, or for given itself
+    when it is not a sequence."""
     try:
-        whole = tuple(map(int, given))
+        entries = tuple(given)
+    except TypeError:
+        raise error(f"{what}, got {given!r}") from None
+    try:
+        whole = tuple(map(int, entries))
     except (TypeError, ValueError, OverflowError):
-        return None
-    return whole if whole == given else None
+        whole = None
+    if whole == entries:
+        return whole
+    for v in entries:  # stops at the first entry that int() refuses or changes
+        try:
+            if not int(v) == v:
+                break
+        except (TypeError, ValueError, OverflowError):
+            break
+    raise error(f"{what}, got {v!r}")

@@ -68,11 +68,11 @@ def class_representative(cls: Diagram) -> dict[int, int]:
     return perm
 
 
-def matchings_character(r: int, bound: int = MATCHINGS_BOUND) -> ClassFunction:
+def matchings_character(r: int) -> ClassFunction:
     """Permutation character of S_{2r} on perfect matchings, by explicit
     fixed-point counting on one representative per class."""
-    if r > bound:
-        raise OracleBoundError(f"matchings oracle bound exceeded: r = {r} > {bound}")
+    if r > MATCHINGS_BOUND:
+        raise OracleBoundError(f"matchings oracle bound exceeded: r = {r} > {MATCHINGS_BOUND}")
     matchings = all_matchings(r)
     values = {}
     for cls in all_diagrams(2 * r):
@@ -114,10 +114,7 @@ def induced_character(
     """Character induced to S_n from a product of symmetric subgroups, by the
     class-fusion formula. Its weights are the integer indices of the subgroup
     centralizers C_H(h) in C_G(h), taken once per degree tuple."""
-    given = tuple(sub_degrees)
-    sub_degrees = whole_numbers(given)
-    if sub_degrees is None:
-        raise DegreeMismatchError(f"factor degrees must be whole numbers: {given}")
+    sub_degrees = whole_numbers(sub_degrees, DegreeMismatchError, "factor degrees must be whole numbers")
     if len(sub_degrees) != len(sub_characters) or not sub_degrees:
         raise DegreeMismatchError("one class function per factor is required")
     for d, f in zip(sub_degrees, sub_characters):

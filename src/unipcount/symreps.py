@@ -86,11 +86,9 @@ class ClassFunction:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        given = tuple(self.values.values())
-        whole = whole_numbers(given)
-        if whole is None:
-            bad = next(v for v in given if whole_numbers((v,)) is None)
-            raise DegreeMismatchError(f"class function values must be whole numbers, got {bad!r}")
+        whole = whole_numbers(
+            self.values.values(), DegreeMismatchError, "class function values must be whole numbers"
+        )
         clean = dict(zip(map(check_diagram, self.values), whole))
         if set(clean) != set(all_diagrams(self.degree)):
             raise DegreeMismatchError(
@@ -126,9 +124,9 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
     is refused.
     """
     if type(n) is not int:  # only such an n pays for whole_numbers
-        if whole_numbers((n,)) is None:
-            raise InvalidPartitionError(f"cannot partition a total that is not a whole number: {n!r}")
-        n = int(n)
+        (n,) = whole_numbers(
+            (n,), InvalidPartitionError, "cannot partition a total that is not a whole number"
+        )
     table = _TABLES.get(n)
     on_disk = False
     if cache_dir is not None:

@@ -86,10 +86,7 @@ def make_group(
             raise UnsupportedGroupError(f"kind {kind.value} requires p and q")
         # Only a value that is not an int pays for whole_numbers.
         if type(p) is not int or type(q) is not int:
-            whole = whole_numbers((p, q))
-            if whole is None:
-                raise UnsupportedGroupError(f"kind {kind.value} takes whole p, q, got {p!r}, {q!r}")
-            p, q = whole
+            p, q = whole_numbers((p, q), UnsupportedGroupError, f"kind {kind.value} takes whole p, q")
         if p < 0 or q < 0 or p + q < 1:
             raise UnsupportedGroupError(
                 f"kind {kind.value} requires p, q >= 0 with p + q >= 1, got ({p}, {q})"
@@ -102,9 +99,7 @@ def make_group(
     if n is None:
         raise UnsupportedGroupError(f"kind {kind.value} requires n")
     if type(n) is not int:
-        if whole_numbers((n,)) is None:
-            raise UnsupportedGroupError(f"kind {kind.value} takes a whole n, got {n!r}")
-        n = int(n)
+        (n,) = whole_numbers((n,), UnsupportedGroupError, f"kind {kind.value} takes a whole n")
     if n < minimum:
         raise UnsupportedGroupError(f"kind {kind.value} requires n >= {minimum}, got {n}")
     if kind in QUATERNIONIC_KINDS and n % 2:

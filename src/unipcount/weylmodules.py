@@ -45,22 +45,17 @@ class ModuleDecomp:
         shape: Iterable[int],
         mults: Mapping[ModuleKey, int] | Iterable[tuple[ModuleKey, int]] = (),
     ) -> None:
-        try:
-            given = tuple(shape)
-        except TypeError:
-            raise ShapeMismatchError(f"a shape is a sequence of factor degrees, got {shape!r}") from None
-        self.shape = whole_numbers(given)
-        if self.shape is None:
-            raise ShapeMismatchError(f"factor degrees must be whole numbers: {given}")
+        self.shape = whole_numbers(shape, ShapeMismatchError, "factor degrees must be whole numbers")
         if any(s < 0 for s in self.shape):
             raise ShapeMismatchError(f"factor degrees must be non-negative: {self.shape}")
         items = mults.items() if isinstance(mults, Mapping) else mults
-        pairs = [(self._check_key(key), m) for key, m in items]
-        raw = tuple(m for _, m in pairs)
-        counts = whole_numbers(raw)
-        if counts is None:
-            bad = next(m for m in raw if whole_numbers((m,)) is None)
-            raise ShapeMismatchError(f"multiplicities must be whole numbers, got {bad!r}")
+        try:
+            pairs = [(self._check_key(key), m) for key, m in items]
+        except (TypeError, ValueError):  # mults, or one of its entries, is not a (key, m) pair
+            raise ShapeMismatchError(f"mults must be (key, multiplicity) pairs, got {mults!r}") from None
+        counts = whole_numbers(
+            [m for _, m in pairs], ShapeMismatchError, "multiplicities must be whole numbers"
+        )
         if min(counts, default=0) < 0:
             bad = next(m for m in counts if m < 0)
             raise ShapeMismatchError(f"multiplicities must be non-negative, got {bad}")

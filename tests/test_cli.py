@@ -108,6 +108,21 @@ def test_complex_orbit2_defaults_to_orbit(cli_runner):
     assert out == "0\n"
 
 
+@pytest.mark.parametrize("kind", ["su", "gl-r"])
+def test_an_empty_orbit2_is_a_usage_error_for_a_non_complex_kind(cli_runner, kind):
+    group = ["--p", "1", "--q", "1"] if kind == "su" else ["--n", "2"]
+    code, out, err = cli_runner(["count", "--group", kind, *group, "--orbit", "1,1", "--orbit2", ""])
+    assert (code, out) == (2, "")
+    assert "--orbit2 is only meaningful" in err
+
+
+@pytest.mark.parametrize("kind", ["gl-c", "sl-c"])
+def test_an_empty_orbit2_is_refused_like_an_empty_orbit_for_a_complex_kind(cli_runner, kind):
+    refused = (1, "", "error: cannot parse orbit ''\n")
+    assert cli_runner(["count", "--group", kind, "--orbit", "2,1", "--orbit2", ""]) == refused
+    assert cli_runner(["count", "--group", kind, "--orbit", ""]) == refused
+
+
 def test_coh_json_includes_parts_for_cover(cli_runner):
     code, out, _ = cli_runner(
         [

@@ -187,12 +187,20 @@ def reference_check_diagram(d):
     except (TypeError, ValueError, OverflowError):
         rows = None
     if rows != given:
-        raise InvalidPartitionError(f"row lengths must be whole numbers: {given}")
+        bad = next(r for r in given if _not_int_valued(r))
+        raise InvalidPartitionError(f"row lengths must be whole numbers, got {bad!r}")
     if rows and min(rows) < 1:
         raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
     if any(map(lt, rows, rows[1:])):
         raise InvalidPartitionError(f"row lengths must be weakly decreasing: {rows}")
     return rows
+
+
+def _not_int_valued(r):
+    try:
+        return int(r) != r
+    except (TypeError, ValueError, OverflowError):
+        return True
 
 
 def _outcome(check, d):

@@ -53,10 +53,11 @@ def test_matchings_character_examples():
     assert cf.values[(3, 1)] == 0
 
 
-def test_matchings_bound_enforced():
+def test_matchings_bound_enforced(monkeypatch):
     with pytest.raises(OracleBoundError):
         matchings_character(5)
-    assert matchings_character(5, bound=5).degree == 10
+    monkeypatch.setattr(oracle, "MATCHINGS_BOUND", 5)
+    assert matchings_character(5).degree == 10
 
 
 def test_matchings_decomposition_matches_closed_form():
@@ -171,13 +172,15 @@ def test_parameter_tuples_match_engine_order():
             assert tuple(tuple(row["a"]) for row in rows) == expected
 
 
-def test_sign_induction_module_matches_induced_oracle():
+def test_sign_induction_module_matches_induced_oracle(monkeypatch):
     # recompute the closed form end to end: brute-force matchings character,
     # class-fusion induction, inner-product decomposition
     from collections import Counter
 
     from unipcount.weylmodules import sign_induction_module
 
+    # k reaches 5 at p = q = 5, one above MATCHINGS_BOUND
+    monkeypatch.setattr(oracle, "MATCHINGS_BOUND", 5)
     for p in range(0, 6):
         for q in range(0, 6):
             if not 0 < p + q <= 10:
@@ -187,8 +190,7 @@ def test_sign_induction_module_matches_induced_oracle():
                 cf = induced_character(
                     (2 * k, p - k, q - k),
                     (
-                        # k reaches 5 at p = q = 5, one above MATCHINGS_BOUND
-                        matchings_character(k, bound=5),
+                        matchings_character(k),
                         sign_character(p - k),
                         sign_character(q - k),
                     ),

@@ -5,12 +5,14 @@ A newly exported name fails the first test until it is added here on
 purpose, with bad values for the second.
 """
 
+import re
 import types
 
 import pytest
 
 import unipcount
 from unipcount import (
+    DegreeMismatchError,
     EngineError,
     GroupSpec,
     InvalidPartitionError,
@@ -27,6 +29,9 @@ from unipcount import (
     make_group,
     parse_orbit,
 )
+from unipcount.diagrams import check_diagram
+from unipcount.oracle import induced_character
+from unipcount.symreps import ClassFunction
 
 ERRORS = {
     "EngineError", "InvalidPartitionError", "DegreeMismatchError", "ShapeMismatchError",
@@ -98,7 +103,27 @@ WRONG_TYPE = [
     ("ModuleDecomp-int-shape", lambda: ModuleDecomp(5), ShapeMismatchError),
     ("ModuleDecomp-int-key", lambda: ModuleDecomp((2,), {5: 1}), ShapeMismatchError),
     ("ModuleDecomp.multiplicity-int-key", lambda: ModuleDecomp((2,)).multiplicity(5), ShapeMismatchError),
+    ("ModuleDecomp-int-entry", lambda: ModuleDecomp((1,), [5]), ShapeMismatchError),
+    ("ModuleDecomp-str-mults", lambda: ModuleDecomp((1,), "ab"), ShapeMismatchError),
+    ("ModuleDecomp-int-mults", lambda: ModuleDecomp((1,), 5), ShapeMismatchError),
 ]
+
+# Every boundary that takes whole numbers from outside, each given one bad
+# value as (the entry after) a whole one: (id, call, the README table's
+# error). For make_group, None means the argument is absent, which is
+# refused with its own message.
+WHOLE_NUMBER_BOUNDARIES = [
+    ("check_diagram", lambda x: check_diagram((2, x)), InvalidPartitionError),
+    ("OrbitSpec", lambda x: OrbitSpec((2, x)), InvalidPartitionError),
+    ("make_group-n", lambda x: make_group("gl-r", n=x), UnsupportedGroupError),
+    ("make_group-pq", lambda x: make_group("su", p=1, q=x), UnsupportedGroupError),
+    ("character_table", character_table, InvalidPartitionError),
+    ("ModuleDecomp-shape", lambda x: ModuleDecomp((2, x)), ShapeMismatchError),
+    ("ModuleDecomp-multiplicity", lambda x: ModuleDecomp((2,), {((2,),): x}), ShapeMismatchError),
+    ("ClassFunction", lambda x: ClassFunction(1, {(1,): x}), DegreeMismatchError),
+    ("induced_character", lambda x: induced_character((1, x), ()), DegreeMismatchError),
+]
+NOT_WHOLE = {"2.5": 2.5, "x": "x", "nan": float("nan"), "None": None, "[1]": [1]}
 
 
 def test_the_package_exports_exactly_the_query_layer():
@@ -126,3 +151,20 @@ def test_every_exported_callable_refuses_bad_values_with_an_engine_error(call, e
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is not EngineError
+
+
+@pytest.mark.parametrize(
+    "call,bad,error",
+    [
+        *(pytest.param(call, value, error, id=f"{name}-{value_id}")
+          for name, call, error in WHOLE_NUMBER_BOUNDARIES
+          for value_id, value in NOT_WHOLE.items()
+          if not (value is None and name.startswith("make_group"))),
+        pytest.param(lambda x: induced_character(x, ()), 5, DegreeMismatchError,
+                     id="induced_character-not-a-sequence"),
+    ],
+)
+def test_every_whole_number_boundary_names_the_first_entry_that_is_not_whole(call, bad, error):
+    with pytest.raises(error, match=re.escape(f"got {bad!r}") + "$") as caught:
+        call(bad)
+    assert type(caught.value) is error
