@@ -8,7 +8,7 @@ row lengths, with () the empty diagram.
 
 from functools import cache, lru_cache
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidPartitionError, whole_numbers
 
@@ -49,9 +49,18 @@ def _checked(given: tuple) -> Diagram:
 
 def transpose(d: Diagram) -> Diagram:
     """Column lengths of d, i.e. the reflected diagram."""
-    if not d:
-        return ()
-    return tuple(sum(1 for p in d if p > i) for i in range(d[0]))
+    return transpose_blocks(*row_profile(d))
+
+
+def transpose_blocks(lengths: Sequence[int], mults: Sequence[int]) -> Diagram:
+    """Transpose of the diagram with mults[i] rows of length lengths[i], the
+    lengths strictly decreasing: the running totals of mults, each repeated by
+    the gap from its length to the next shorter one (Macdonald I.1)."""
+    columns, rows, shorter = [], sum(mults), 0
+    for length, m in zip(reversed(lengths), reversed(mults)):
+        columns += [rows] * (length - shorter)
+        rows, shorter = rows - m, length
+    return tuple(columns)
 
 
 @cache

@@ -115,7 +115,8 @@ def induced_character(
     class-fusion formula. Its weights are the integer indices of the subgroup
     centralizers C_H(h) in C_G(h), taken once per degree tuple."""
     sub_degrees = whole_numbers(sub_degrees, DegreeMismatchError, "factor degrees must be whole numbers")
-    if len(sub_degrees) != len(sub_characters) or not sub_degrees:
+    characters = sub_characters if isinstance(sub_characters, (tuple, list)) else ()
+    if not sub_degrees or [type(f) for f in characters] != [ClassFunction] * len(sub_degrees):
         raise DegreeMismatchError("one class function per factor is required")
     for d, f in zip(sub_degrees, sub_characters):
         if f.degree != d:

@@ -86,6 +86,9 @@ class ClassFunction:
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        (self.degree,) = whole_numbers((self.degree,), DegreeMismatchError, "class function degree must be whole")
+        if self.degree < 0 or not isinstance(self.values, dict):
+            raise DegreeMismatchError(f"a class function takes a degree >= 0 and a dict, got {self!r}")
         whole = whole_numbers(
             self.values.values(), DegreeMismatchError, "class function values must be whole numbers"
         )

@@ -6,7 +6,6 @@ based counts of special unipotent representations for all supported kinds.
 from enum import Enum
 from functools import cache
 from itertools import product
-from math import prod
 from typing import Iterator, NamedTuple
 
 from .diagrams import (
@@ -14,9 +13,8 @@ from .diagrams import (
     RowProfile,
     check_diagram,
     coset_signature,
-    even_odd_split,
     row_profile,
-    transpose,
+    transpose_blocks,
 )
 from .errors import DegreeMismatchError, InvalidPartitionError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
@@ -123,7 +121,7 @@ class OrbitSpec(_Orbit):
     # A NamedTuple body may not define __new__, hence the _Orbit base.
     def __new__(cls, first: Diagram, second: Diagram | None = None) -> "OrbitSpec":
         first = check_diagram(first)
-        return super().__new__(cls, first, None if second is None else check_diagram(second))
+        return tuple.__new__(cls, (first, None if second is None else check_diagram(second)))
 
     @property
     def is_pair(self) -> bool:
@@ -170,15 +168,24 @@ class _OrbitRecord(NamedTuple):  # all a count reads at one orbit diagram
 # Cached: a sweep counts each orbit at every (p, q).
 @cache
 def _orbit_record(orbit: Diagram) -> _OrbitRecord:
-    a, b = map(transpose, even_odd_split(orbit))
-    mults = row_profile(orbit).mults
-    blocks = tuple(
-        _strip_fillings(other)
-        for matched, other in ((a, b), (b, a))
-        if all(row % 2 == 0 for row in matched)
-    )
-    total, all_even = prod(m + 1 for m in mults), all(m % 2 == 0 for m in mults)
-    return _OrbitRecord((a, b), sum(a), sum(b), total, all_even, blocks)
+    """The record, read off row_profile(orbit) in one pass over its blocks:
+    a and b are transpose_blocks (Macdonald I.1) of the even-length and the
+    odd-length blocks, n_h and n_0 sum length * m over each, and a block can
+    hold the cell when every multiplicity of its matchings label's parity is
+    even, as that label's rows are running totals of those multiplicities."""
+    lengths, mults = row_profile(orbit)
+    halves = ([], []), ([], [])  # (lengths, mults) of the even-length, then the odd-length blocks
+    sizes, odd_mults, total = [0, 0], [0, 0], 1  # per parity: size, number of odd multiplicities
+    for length, m in zip(lengths, mults):
+        parity = length % 2
+        halves[parity][0].append(length)
+        halves[parity][1].append(m)
+        sizes[parity] += length * m
+        odd_mults[parity] += m % 2
+        total *= m + 1
+    a, b = transpose_blocks(*halves[0]), transpose_blocks(*halves[1])
+    blocks = tuple(_strip_fillings(other) for odd, other in zip(odd_mults, (b, a)) if not odd)
+    return _OrbitRecord((a, b), *sizes, total, not any(odd_mults), blocks)
 
 
 def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
@@ -255,9 +262,12 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     needs min(p, q) >= r/2, and the range of i already ensures it: the other
     label has size p + q - r and len(c_odd) - 1 odd rows, so a block with
     min(p, q) < r/2 has |p - q| > p + q - r >= len(c_odd) - 1, which puts i
-    outside 0 <= i < len(c_odd). One cached record per orbit diagram keeps
-    the cell, n_h, n_0, prod(m + 1), e and (c_odd, even) for each block that
-    can hold the cell, so a count at any (p, q) sums at most two products.
+    outside 0 <= i < len(c_odd). One cached record per orbit diagram, read
+    off its row profile, keeps the cell, n_h, n_0, prod(m + 1), e and
+    (c_odd, even) for each block that can hold the cell, so a count at any
+    (p, q) sums at most two products. By Macdonald I.1 the rows of a (of b)
+    are running totals of the multiplicities of the even (odd) row lengths,
+    so a has all rows even exactly when each of those multiplicities is.
     The diagonal summands of SU never contain the cell, so SU and the double
     cover share this formula. Proof: the largest part of transpose(d) is
     the number of rows of d, and it occurs as many times as the smallest row

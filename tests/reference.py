@@ -1,10 +1,11 @@
 """Reference helpers shared by several test modules."""
 
 from functools import cache
+from math import prod
 
-from unipcount.diagrams import all_diagrams
+from unipcount.diagrams import all_diagrams, even_odd_split, row_profile
 from unipcount.symreps import ClassFunction, character_table
-from unipcount.weylmodules import _block_signature, sign_induction_multiplicity
+from unipcount.weylmodules import _block_signature, _strip_fillings, sign_induction_multiplicity
 
 
 def chi(lam, mu, table=None):
@@ -34,3 +35,26 @@ def block_multiplicity(p, q, r, matched, other):
     if rest is None or any(row % 2 for row in matched):
         return 0
     return sign_induction_multiplicity(other, *rest)
+
+
+# Reference: transpose as it was defined before it read the row profile,
+# one box count per column, O(rows x columns).
+def transpose(d):
+    if not d:
+        return ()
+    return tuple(sum(1 for p in d if p > i) for i in range(d[0]))
+
+
+# Reference: the fields of unipotent._orbit_record as it built them before
+# it read them off the row profile: the transposed even and odd parts, their
+# sizes, prod(m + 1), e, and a block for each label with all rows even.
+def orbit_record(orbit):
+    a, b = map(transpose, even_odd_split(orbit))
+    mults = row_profile(orbit).mults
+    blocks = tuple(
+        _strip_fillings(other)
+        for matched, other in ((a, b), (b, a))
+        if all(row % 2 == 0 for row in matched)
+    )
+    total, all_even = prod(m + 1 for m in mults), all(m % 2 == 0 for m in mults)
+    return ((a, b), sum(a), sum(b), total, all_even, blocks)

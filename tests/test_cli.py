@@ -8,6 +8,20 @@ from pathlib import Path
 
 import pytest
 
+from unipcount.diagrams import all_diagrams
+from unipcount.unipotent import (
+    COMPLEX_KINDS,
+    HERMITIAN_KINDS,
+    QUATERNIONIC_KINDS,
+    GroupKind,
+    OrbitSpec,
+    cell_rep,
+    count_record,
+    group_record,
+    make_group,
+    orbit_record,
+)
+
 
 def test_count_table_prints_number(cli_runner):
     code, out, err = cli_runner(
@@ -269,6 +283,66 @@ def test_chartable_bytes_match_their_recorded_digests(cli_runner, tmp_path, k):
     assert (code, err, digest(out.encode())) == (0, "", json_digest)
     path = tmp_path / f"chartable_{k}.json"
     assert (digest(path.read_bytes()) if path.exists() else None) == file_digest
+
+
+def _queries(max_n):
+    """Every (group, orbit) that count takes with n <= max_n: every counted
+    kind, every (p, q) of the hermitian kinds and every ordered pair of
+    diagrams of the complex kinds."""
+    for kind in GroupKind:
+        for n in range(1, max_n + 1) if kind not in QUATERNIONIC_KINDS else ():
+            if kind in HERMITIAN_KINDS:
+                groups = [make_group(kind, p=p, q=n - p) for p in range(n + 1)]
+            else:
+                least = 1 if kind in (GroupKind.GL_R, GroupKind.GL_C) else 2
+                groups = [make_group(kind, n=n)] if n >= least else []
+            diagrams = all_diagrams(n)
+            if kind in COMPLEX_KINDS:
+                orbits = [OrbitSpec(d, e) for d in diagrams for e in diagrams]
+            else:
+                orbits = list(map(OrbitSpec, diagrams))
+            yield from ((group, orbit) for group in groups for orbit in orbits)
+
+
+def _cell_line(group, orbit):
+    """The stdout line of `cell --format json` at the group and orbit."""
+    cell = [list(d) for d in cell_rep(group, orbit)]
+    return json.dumps({"group": group_record(group), "orbit": orbit_record(orbit), "cell": cell}) + "\n"
+
+
+# SHA-256 of the `count --format json` lines and of the `cell --format json`
+# lines of every query of _queries(10), in that order, recorded before the
+# orbit record was read off the row profile. Computed in-process.
+COUNT_SHA256 = "d36c20302072bbacd57e6a88d30a81749d74d23f61f27b935d19fed32bf03067"
+CELL_SHA256 = "37439e46c299a0d70aefe9723157155f4e5e8ffadbcc63fe3c8775d80a7e9373"
+
+
+def test_count_and_cell_bytes_match_their_recorded_digests():
+    counts, cells = sha256(), sha256()
+    for group, orbit in _queries(10):
+        counts.update((json.dumps(count_record(group, orbit)) + "\n").encode())
+        if group.kind in HERMITIAN_KINDS | COMPLEX_KINDS:
+            cells.update(_cell_line(group, orbit).encode())
+    assert (counts.hexdigest(), cells.hexdigest()) == (COUNT_SHA256, CELL_SHA256)
+
+
+@pytest.mark.parametrize(
+    "argv, group, orbit",
+    [
+        ("--group su --p 3 --q 2 --orbit 2,2,1", make_group("su", p=3, q=2), OrbitSpec((2, 2, 1))),
+        ("--group u-tilde --p 0 --q 4 --orbit 3,1", make_group("u-tilde", p=0, q=4), OrbitSpec((3, 1))),
+        ("--group gl-r --n 4 --orbit 2,1,1", make_group("gl-r", n=4), OrbitSpec((2, 1, 1))),
+        ("--group sl-c --n 3 --orbit 2,1 --orbit2 1,1,1", make_group("sl-c", n=3), OrbitSpec((2, 1), (1, 1, 1))),
+    ],
+)
+def test_pinned_lines_are_what_the_cli_writes(cli_runner, argv, group, orbit):
+    # The digests above hash lines built in-process; these are the CLI's own.
+    argv = argv.split()
+    code, out, _ = cli_runner(["count", *argv, "--format", "json"])
+    assert (code, out) == (0, json.dumps(count_record(group, orbit)) + "\n")
+    if group.kind in HERMITIAN_KINDS | COMPLEX_KINDS:
+        code, out, _ = cli_runner(["cell", *argv, "--format", "json"])
+        assert (code, out) == (0, _cell_line(group, orbit))
 
 
 @pytest.mark.parametrize("max_size, degrees", [(4, range(1, 5)), (10, range(1, 11))])

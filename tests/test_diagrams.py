@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from unipcount import diagrams
 from unipcount.diagrams import (
     all_diagrams,
@@ -74,6 +75,20 @@ def test_transpose_involution_random(parts):
     d = tuple(sorted(parts, reverse=True))
     assert transpose(transpose(d)) == d
     assert sum(transpose(d)) == sum(d)
+
+
+def test_transpose_matches_the_box_count_reference_through_n_20():
+    for d in diagrams_up_to(20):
+        assert transpose(d) == reference.transpose(d), d
+
+
+# Up to n = 210 with one long row and one long column beside random rows:
+# the first gap and the last running total then reach far past the others.
+@given(st.lists(st.integers(1, 10), max_size=10), st.integers(1, 50), st.integers(1, 50))
+def test_transpose_matches_the_reference_with_a_long_row_and_column(parts, row, column):
+    d = tuple(sorted([max(parts, default=1) + row, *parts, *[1] * column], reverse=True))
+    assert transpose(d) == reference.transpose(d)
+    assert transpose(transpose(d)) == d
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,10 @@ WRONG_TYPE = [
     ("ModuleDecomp-int-entry", lambda: ModuleDecomp((1,), [5]), ShapeMismatchError),
     ("ModuleDecomp-str-mults", lambda: ModuleDecomp((1,), "ab"), ShapeMismatchError),
     ("ModuleDecomp-int-mults", lambda: ModuleDecomp((1,), 5), ShapeMismatchError),
+    ("ClassFunction-int-values", lambda: ClassFunction(2, 5), DegreeMismatchError),
+    ("ClassFunction-negative-degree", lambda: ClassFunction(-1, {}), DegreeMismatchError),
+    ("induced_character-int-characters", lambda: induced_character((1,), 5), DegreeMismatchError),
+    ("induced_character-int-character", lambda: induced_character((1,), (5,)), DegreeMismatchError),
 ]
 
 # Every boundary that takes whole numbers from outside, each given one bad
@@ -121,6 +125,7 @@ WHOLE_NUMBER_BOUNDARIES = [
     ("ModuleDecomp-shape", lambda x: ModuleDecomp((2, x)), ShapeMismatchError),
     ("ModuleDecomp-multiplicity", lambda x: ModuleDecomp((2,), {((2,),): x}), ShapeMismatchError),
     ("ClassFunction", lambda x: ClassFunction(1, {(1,): x}), DegreeMismatchError),
+    ("ClassFunction-degree", lambda x: ClassFunction(x, {}), DegreeMismatchError),
     ("induced_character", lambda x: induced_character((1, x), ()), DegreeMismatchError),
 ]
 NOT_WHOLE = {"2.5": 2.5, "x": "x", "nan": float("nan"), "None": None, "[1]": [1]}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import (
@@ -303,16 +304,22 @@ def test_counting_equality_small_sweep():
         assert list(oracle._counting_mismatches(n)) == [], n
 
 
-def test_cell_is_computed_once_per_orbit(monkeypatch):
-    calls = []
-    real = unipotent.transpose
-    monkeypatch.setattr(unipotent, "transpose", lambda d: calls.append(d) or real(d))
+def test_cell_is_computed_once_per_orbit():
     unipotent._orbit_record.cache_clear()
     orbit = OrbitSpec((4, 3, 2, 1))
     for p in range(11):
         for kind in ("su", "u-tilde"):
             count_unipotent(make_group(kind, p=p, q=10 - p), orbit)
-    assert len(calls) == 2
+    assert unipotent._orbit_record.cache_info().misses == 1
+
+
+def test_orbit_record_matches_the_reference_through_n_22():
+    # Every field read off the row profile equals the one built from the
+    # transposed even and odd parts, at every orbit with n <= 22.
+    orbits = diagrams_up_to(22)
+    assert len(orbits) == 4507
+    for orbit in orbits:
+        assert tuple(unipotent._orbit_record(orbit)) == reference.orbit_record(orbit), orbit
 
 
 def test_sweep_fills_one_record_per_orbit():
