@@ -6,6 +6,7 @@ based counts of special unipotent representations for all supported kinds.
 from enum import Enum
 from functools import cache
 from itertools import product
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .diagrams import (
@@ -156,36 +157,27 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
     return kind
 
 
-class _OrbitRecord(NamedTuple):  # all a count reads at one orbit diagram
+class _OrbitRecord(NamedTuple):  # all an su or u-tilde count, or cell_rep, reads at one orbit diagram
     cell: tuple[Diagram, Diagram]
-    n_h: int  # |a| = size of the even rows, as |transpose(d)| = |d|
-    n_0: int  # |b| = size of the odd rows
-    total: int  # prod(m + 1) over the row multiplicities m
-    all_even: bool  # e: every m is even
     blocks: tuple[tuple[tuple[int, ...], int], ...]  # (c_odd, even)
 
 
 # Cached: a sweep counts each orbit at every (p, q).
 @cache
 def _orbit_record(orbit: Diagram) -> _OrbitRecord:
-    """The record, read off row_profile(orbit) in one pass over its blocks:
-    a and b are transpose_blocks (Macdonald I.1) of the even-length and the
-    odd-length blocks, n_h and n_0 sum length * m over each, and a block can
-    hold the cell when every multiplicity of its matchings label's parity is
-    even, as that label's rows are running totals of those multiplicities."""
+    """The cell and the blocks that can hold it, read off row_profile(orbit)
+    in one pass: a and b are transpose_blocks (Macdonald I.1) of the
+    even-length and the odd-length blocks, and a block can hold the cell
+    when every multiplicity of its matchings label's parity is even, as
+    that label's rows are running totals of those multiplicities."""
     lengths, mults = row_profile(orbit)
     halves = ([], []), ([], [])  # (lengths, mults) of the even-length, then the odd-length blocks
-    sizes, odd_mults, total = [0, 0], [0, 0], 1  # per parity: size, number of odd multiplicities
     for length, m in zip(lengths, mults):
-        parity = length % 2
-        halves[parity][0].append(length)
-        halves[parity][1].append(m)
-        sizes[parity] += length * m
-        odd_mults[parity] += m % 2
-        total *= m + 1
-    a, b = transpose_blocks(*halves[0]), transpose_blocks(*halves[1])
-    blocks = tuple(_strip_fillings(other) for odd, other in zip(odd_mults, (b, a)) if not odd)
-    return _OrbitRecord((a, b), *sizes, total, not any(odd_mults), blocks)
+        halves[length % 2][0].append(length)
+        halves[length % 2][1].append(m)
+    a, b = (transpose_blocks(*half) for half in halves)
+    blocks = tuple(_strip_fillings(other) for (_, ms), other in zip(halves, (b, a)) if not any(m % 2 for m in ms))
+    return _OrbitRecord((a, b), blocks)
 
 
 def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
@@ -243,11 +235,13 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     the orbit.
 
     Real general/special linear kinds count their enumerations without
-    listing them. gl-r has one parameter per sign-count tuple, prod(m + 1)
-    of them. For sl-r, the twist a -> m - a pairs off every tuple except
-    the fixed point 2a = m, which exists (e = 1) exactly when every
-    multiplicity is even; one parameter per pair and two at the fixed point
-    give (prod(m + 1) - e)/2 + 2e = (prod(m + 1) + 3e)/2.
+    listing them, in one pass over the row multiplicities m of
+    row_profile(orbit), with no record and no cell label. gl-r has one
+    parameter per sign-count tuple, prod(m + 1) of them. For sl-r, the twist
+    a -> m - a pairs off every tuple except the fixed point 2a = m, which
+    exists (e = 1) exactly when every multiplicity is even; one parameter
+    per pair and two at the fixed point give
+    (prod(m + 1) - e)/2 + 2e = (prod(m + 1) + 3e)/2.
     The unitary and complex kinds count the multiplicity of the cell label
     in the coherent continuation module, computed directly, without
     building the module.
@@ -263,11 +257,11 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     label has size p + q - r and len(c_odd) - 1 odd rows, so a block with
     min(p, q) < r/2 has |p - q| > p + q - r >= len(c_odd) - 1, which puts i
     outside 0 <= i < len(c_odd). One cached record per orbit diagram, read
-    off its row profile, keeps the cell, n_h, n_0, prod(m + 1), e and
-    (c_odd, even) for each block that can hold the cell, so a count at any
-    (p, q) sums at most two products. By Macdonald I.1 the rows of a (of b)
-    are running totals of the multiplicities of the even (odd) row lengths,
-    so a has all rows even exactly when each of those multiplicities is.
+    off its row profile, keeps the cell and (c_odd, even) for each block
+    that can hold it, so a count at any (p, q) sums at most two products.
+    By Macdonald I.1 the rows of a (of b) are running totals of the
+    multiplicities of the even (odd) row lengths, so a has all rows even
+    exactly when each of those multiplicities is.
     The diagonal summands of SU never contain the cell, so SU and the double
     cover share this formula. Proof: the largest part of transpose(d) is
     the number of rows of d, and it occurs as many times as the smallest row
@@ -295,14 +289,15 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     )
     if kind in COMPLEX_KINDS:
         return int(orbit.first == orbit.second)
-    record = _orbit_record(orbit.first)
     if kind in ENUMERATED_KINDS:
+        mults = row_profile(orbit.first).mults
+        total = prod(m + 1 for m in mults)
         if kind is GroupKind.GL_R:
-            return record.total
-        return (record.total + 3 * record.all_even) // 2
+            return total
+        return (total + 3 * (not any(m % 2 for m in mults))) // 2
     p, q = group.p, group.q
     count = 0
-    for c_odd, even in record.blocks:
+    for c_odd, even in _orbit_record(orbit.first).blocks:
         i = (len(c_odd) - 1 + p - q) // 2
         if 0 <= i < len(c_odd):
             count += c_odd[i] * even
@@ -325,13 +320,13 @@ def orbit_record(orbit: OrbitSpec) -> list:
 
 def count_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     """JSON-ready record of a count query."""
-    count = count_unipotent(group, orbit)
-    record = _orbit_record(orbit.first)
+    count = count_unipotent(group, orbit)  # checks the query first
+    n_h, n_0 = coset_signature(orbit.first)
     return {
         "group": group_record(group),
         "orbit": orbit_record(orbit),
-        "n_h": record.n_h,
-        "n_0": record.n_0,
+        "n_h": n_h,
+        "n_0": n_0,
         "count": count,
         "method": "enumeration" if group.kind in ENUMERATED_KINDS else "multiplicity",
     }

@@ -7,7 +7,9 @@ keeps its shape, so sums stay total on matching shapes.
 """
 
 from functools import cache
+from itertools import accumulate
 from math import prod
+from operator import sub
 from typing import Iterable, Mapping
 
 from .diagrams import (
@@ -186,8 +188,9 @@ def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
     profile = row_profile(nu)
     c_odd, even = [1], 1
     for length, m in zip(profile.lengths, profile.mults):
-        if length % 2:
-            c_odd = [sum(c_odd[max(t - m, 0) : t + 1]) for t in range(len(c_odd) + m)]
+        if length % 2:  # times 1 + x + ... + x^m: each coefficient is a window of m + 1 running totals
+            totals = list(accumulate(c_odd + [0] * m, initial=0))
+            c_odd = list(map(sub, totals[1:], [0] * m + totals))
         else:
             even *= m + 1
     return tuple(c_odd), even
@@ -328,9 +331,6 @@ def coh_sl_complex(sig: CosetSignature) -> ModuleDecomp:
     n_h, n_0 = sig
     out = coh_gl_complex(sig)
     if n_h == n_0:
-        swap = _built(
-            (n_h, n_0, n_h, n_0),
-            {(a, b, b, a): 1 for a in all_diagrams(n_h) for b in all_diagrams(n_0)},
-        )
-        out = out + swap
+        for a, b, _, _ in list(out.mults):  # coh_gl_complex is not cached: its fresh dict takes the copies
+            out.mults[a, b, b, a] = out.mults.get((a, b, b, a), 0) + 1
     return out

@@ -5,7 +5,7 @@ from math import prod
 
 from unipcount.diagrams import all_diagrams, even_odd_split, row_profile
 from unipcount.symreps import ClassFunction, character_table
-from unipcount.weylmodules import _block_signature, _strip_fillings, sign_induction_multiplicity
+from unipcount.weylmodules import _block_signature, sign_induction_multiplicity
 
 
 def chi(lam, mu, table=None):
@@ -45,16 +45,39 @@ def transpose(d):
     return tuple(sum(1 for p in d if p > i) for i in range(d[0]))
 
 
+# Reference: _strip_fillings as it convolved before it read running totals,
+# one slice sum per coefficient, quadratic in the odd-row multiplicities.
+def strip_fillings(nu):
+    c_odd, even = [1], 1
+    for length, m in zip(*row_profile(nu)):
+        if length % 2:
+            c_odd = [sum(c_odd[max(t - m, 0) : t + 1]) for t in range(len(c_odd) + m)]
+        else:
+            even *= m + 1
+    return tuple(c_odd), even
+
+
 # Reference: the fields of unipotent._orbit_record as it built them before
-# it read them off the row profile: the transposed even and odd parts, their
-# sizes, prod(m + 1), e, and a block for each label with all rows even.
+# it read them off the row profile: the transposed even and odd parts, and a
+# block for each label with all rows even.
 def orbit_record(orbit):
     a, b = map(transpose, even_odd_split(orbit))
-    mults = row_profile(orbit).mults
     blocks = tuple(
-        _strip_fillings(other)
+        strip_fillings(other)
         for matched, other in ((a, b), (b, a))
         if all(row % 2 == 0 for row in matched)
     )
-    total, all_even = prod(m + 1 for m in mults), all(m % 2 == 0 for m in mults)
-    return ((a, b), sum(a), sum(b), total, all_even, blocks)
+    return ((a, b), blocks)
+
+
+# Reference: the fields the orbit record kept before real-kind counts read
+# the row profile and count_record read coset_signature: prod(m + 1), e, and
+# the sizes of the even and the odd rows.
+def real_fields(orbit):
+    mults = row_profile(orbit).mults
+    return (
+        prod(m + 1 for m in mults),
+        all(m % 2 == 0 for m in mults),
+        sum(row for row in orbit if row % 2 == 0),
+        sum(row for row in orbit if row % 2),
+    )

@@ -55,6 +55,18 @@ def test_count_json_record(cli_runner):
     assert rec["n_h"] == 0 and rec["n_0"] == 2
 
 
+LONG_ROW = "99999999999999999999999"  # longer than sys.maxsize
+
+
+@pytest.mark.parametrize("kind, count", [("gl-r", 2), ("sl-r", 1)])
+def test_real_count_at_a_row_longer_than_maxsize(cli_runner, kind, count):
+    code, out, err = cli_runner(["count", "--group", kind, "--orbit", LONG_ROW])
+    assert (code, out, err) == (0, f"{count}\n", "")
+    code, out, _ = cli_runner(["count", "--group", kind, "--orbit", LONG_ROW, "--format", "json"])
+    rec = json.loads(out)
+    assert (code, rec["count"], rec["n_h"], rec["n_0"]) == (0, count, 0, int(LONG_ROW))
+
+
 def test_enumerate_sl_r_rows(cli_runner):
     code, out, _ = cli_runner(
         ["enumerate", "--group", "sl-r", "--n", "4", "--orbit", "2,2"]

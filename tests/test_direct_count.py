@@ -6,7 +6,7 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import block_multiplicity
+from reference import block_multiplicity, strip_fillings
 from unipcount import unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
 from unipcount.oracle import lr_coefficient
@@ -114,6 +114,22 @@ def test_sign_induction_multiplicity_matches_strip_chains():
     # chains above would count (2,) once for p = q = 0.
     assert sign_induction_multiplicity((2,), 0, 0) == 0
     assert sign_induction_multiplicity((3, 1), 1, 1) == 0
+
+
+# A label's row profile: up to five short blocks, and up to two odd-length
+# blocks of multiplicity in the thousands, longer than every short one.
+label_profiles = st.tuples(
+    st.dictionaries(st.integers(1, 12), st.integers(1, 6), max_size=5),
+    st.dictionaries(st.sampled_from((13, 15, 17)), st.integers(1000, 2500), max_size=2),
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(label_profiles)
+def test_strip_fillings_match_the_slice_sum_reference(profile):
+    blocks = {**profile[0], **profile[1]}
+    nu = tuple(length for length in sorted(blocks, reverse=True) for _ in range(blocks[length]))
+    assert weylmodules._strip_fillings(nu) == strip_fillings(nu)
 
 
 def test_hermitian_direct_count_matches_module_multiplicity():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from math import prod
 
 import pytest
@@ -322,10 +323,20 @@ def test_orbit_record_matches_the_reference_through_n_22():
         assert tuple(unipotent._orbit_record(orbit)) == reference.orbit_record(orbit), orbit
 
 
-def test_sweep_fills_one_record_per_orbit():
-    # A cold su and u-tilde sweep at n = 12 fills one record per orbit, p(12)
-    # = 77, and no cache keyed by (p, q): the only other cache it fills is
-    # _strip_fillings, keyed by a cell label.
+def test_real_counts_and_signature_match_the_reference_through_n_22():
+    # The fields the record no longer keeps: gl-r and sl-r counts from
+    # prod(m + 1) and e, and count_record's (n_h, n_0), at every orbit with
+    # 2 <= n <= 22 (sl-r needs n >= 2).
+    for orbit in diagrams_up_to(22)[1:]:
+        total, all_even, n_h, n_0 = reference.real_fields(orbit)
+        spec, n = OrbitSpec(orbit), sum(orbit)
+        rec = count_record(make_group("gl-r", n=n), spec)
+        got = (rec["count"], count_unipotent(make_group("sl-r", n=n), spec), rec["n_h"], rec["n_0"])
+        assert got == (total, (total + 3 * all_even) // 2, n_h, n_0), orbit
+
+
+def _cleared_engine_caches():
+    """Every functools cache of unipotent and weylmodules by name, emptied."""
     caches = {
         name: fn
         for mod in (unipotent, weylmodules)
@@ -334,6 +345,14 @@ def test_sweep_fills_one_record_per_orbit():
     }
     for fn in caches.values():
         fn.cache_clear()
+    return caches
+
+
+def test_sweep_fills_one_record_per_orbit():
+    # A cold su and u-tilde sweep at n = 12 fills one record per orbit, p(12)
+    # = 77, and no cache keyed by (p, q): the only other cache it fills is
+    # _strip_fillings, keyed by a cell label.
+    caches = _cleared_engine_caches()
     for orbit in map(OrbitSpec, all_diagrams(12)):
         for p in range(13):
             for kind in ("su", "u-tilde"):
@@ -342,6 +361,36 @@ def test_sweep_fills_one_record_per_orbit():
     assert {name for name, size in filled.items() if size} == {"_orbit_record", "_strip_fillings"}
     assert filled["_orbit_record"] == len(all_diagrams(12)) == 77
     assert filled["_strip_fillings"] <= 2 * 77
+
+
+def test_real_and_complex_count_records_fill_no_cache():
+    # gl-r and sl-r count off the row profile, and count_record reads (n_h,
+    # n_0) off coset_signature: a cold sweep of these kinds over every orbit
+    # of n = 12 builds no record, no cell label and nothing in weylmodules.
+    caches = _cleared_engine_caches()
+    for orbit in all_diagrams(12):
+        for kind in ("gl-r", "sl-r"):
+            count_record(make_group(kind, n=12), OrbitSpec(orbit))
+        for kind in ("gl-c", "sl-c"):
+            count_record(make_group(kind, n=12), OrbitSpec(orbit, orbit))
+    filled = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert {name for name, size in filled.items() if size} == set()
+
+
+@pytest.mark.parametrize("kind", ["gl-r", "sl-r"])
+def test_real_count_at_a_long_row_allocates_nothing_per_row(kind):
+    # One row of length 20000: the count reads its one block, where a cell
+    # label would be 20000 rows long.
+    group, orbit = make_group(kind, n=20000), OrbitSpec((20000,))
+    unipotent._orbit_record.cache_clear()  # cold: a record, if read, is built here
+    tracemalloc.start()
+    try:
+        count = count_unipotent(group, orbit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == (2 if kind == "gl-r" else 1)
+    assert peak < 16 * 1024
 
 
 def test_complex_counts_match_remark_small():
