@@ -9,8 +9,9 @@ errors.
 import argparse
 import os
 import sys
+from operator import getitem
 
-from .diagrams import all_diagrams, diagram_text, format_diagram, parse_orbit
+from .diagrams import all_diagrams, diagram_text, format_diagram, parse_orbit, row_profile
 from .errors import EngineError
 from .oracle import TABLE_BOUND, run_checks
 from .symreps import _table_rows, character_table
@@ -20,6 +21,7 @@ from .unipotent import (
     GroupKind,
     GroupSpec,
     OrbitSpec,
+    _real_params,
     cell_rep,
     coherent_module,
     count_record,
@@ -112,17 +114,17 @@ def _cmd_count(parser, args) -> int:
 
 
 def _cmd_enumerate(parser, args) -> int:
-    record = enumeration_record(*_resolve(parser, args))
+    group, orbit = _resolve(parser, args)
     if args.format == "json":
-        _emit(record)
+        _emit(enumeration_record(group, orbit))
         return 0
-    for row in record["params"]:
-        sizes = format_diagram(tuple(size for size, _ in row["blocks"]))
-        tags = ",".join(tag for _, tag in row["blocks"])
-        line = f"{row['index']}  {sizes}  {tags}"
-        if row.get("sign"):
-            line += f"  {row['sign']}"
-        print(line)
+    params = _real_params(group, orbit)  # checks the query before a row is printed
+    # Every row's sizes are the orbit; a block's tags depend only on its sign count.
+    sizes, mults = format_diagram(orbit.first), row_profile(orbit.first).mults
+    tags = [[",".join(["trivial"] * (m - s) + ["sign"] * s) for s in range(m + 1)] for m in mults]
+    for index, (a, sign) in enumerate(params):
+        line = f"{index}  {sizes}  {','.join(map(getitem, tags, a))}"
+        print(f"{line}  {sign}" if sign else line)
     return 0
 
 

@@ -355,15 +355,14 @@ def _lr_mismatches(total: int) -> Iterator[str]:
 
 def _parameters_match(n: int, orbit: Diagram) -> bool:
     group = unipotent.make_group(unipotent.GroupKind.GL_R, n=n)
-    params = unipotent.enumeration_record(group, unipotent.OrbitSpec(orbit))["params"]
-    return tuple(tuple(row["a"]) for row in params) == parameter_tuples(row_profile(orbit))
+    params = unipotent._real_params(group, unipotent.OrbitSpec(orbit))
+    return tuple(a for a, _ in params) == parameter_tuples(row_profile(orbit))
 
 
 def _sl_count_matches(n: int, orbit: Diagram) -> bool:
     group = unipotent.make_group(unipotent.GroupKind.SL_R, n=n)
     spec = unipotent.OrbitSpec(orbit)
-    params = unipotent.enumeration_record(group, spec)["params"]
-    return len(params) == unipotent.count_unipotent(group, spec)
+    return sum(1 for _ in unipotent._real_params(group, spec)) == unipotent.count_unipotent(group, spec)
 
 
 def _regular_dimension_mismatches(n: int) -> Iterator[str]:

@@ -5,13 +5,12 @@ based counts of special unipotent representations for all supported kinds.
 
 from enum import Enum
 from functools import cache
-from itertools import product
+from itertools import chain, product, repeat, takewhile
 from math import prod
 from typing import Iterator, NamedTuple
 
 from .diagrams import (
     Diagram,
-    RowProfile,
     check_diagram,
     coset_signature,
     row_profile,
@@ -206,28 +205,29 @@ def coherent_module(group: GroupSpec, orbit: OrbitSpec) -> ModuleDecomp:
     return build(group.p, group.q, sig)
 
 
-def _real_params(
-    kind: GroupKind, profile: RowProfile
-) -> Iterator[tuple[tuple[int, ...], str | None]]:
-    """The induced parameters of gl-r or sl-r at an orbit with this row
-    profile, as (sign counts a, sign), with a in lexicographic order.
+def _real_params(group: GroupSpec, orbit: OrbitSpec) -> Iterator[tuple[tuple[int, ...], str | None]]:
+    """The induced parameters of a gl-r or sl-r query, checked at the call
+    by _check_query (enumeration is refused for every other kind), as (sign
+    counts a, sign) over the multiplicities m of row_profile(orbit.first).
 
-    gl-r has one parameter per tuple 0 <= a <= m, sign None. For sl-r the
-    twist a -> m - a pairs each tuple with 2a < m (lexicographically) with
-    one with 2a > m; each pair restricts to one parameter, listed at its
-    2a < m member. The fixed point 2a = m, present exactly when every
-    multiplicity is even, splits into the signed pair '+', '-'. It comes
-    after every 2a < m tuple and before every 2a > m one, so the signed pair
-    is listed last.
+    gl-r has one parameter per tuple 0 <= a <= m, sign None, in
+    lexicographic order. For sl-r the twist a -> m - a pairs each tuple with
+    2a < m (lexicographically) with one with 2a > m; each pair restricts to
+    one parameter, listed at its 2a < m member. The twist reverses the
+    order, so those members lead it. The fixed point 2a = m, present exactly
+    when every multiplicity is even, splits into the signed pair '+', '-',
+    listed last.
     """
-    m = profile.mults
-    for a in product(*(range(x + 1) for x in m)):
-        doubled = tuple(2 * x for x in a)
-        if kind is GroupKind.GL_R or doubled < m:
-            yield a, None
-        elif doubled == m:
-            yield a, "+"
-            yield a, "-"
+    kind = _check_query(
+        group, orbit, ENUMERATED_KINDS, "explicit enumeration is only available for gl-r and sl-r, not {}"
+    )
+    m = row_profile(orbit.first).mults
+    boxes = product(*(range(x + 1) for x in m))
+    if kind is GroupKind.GL_R:
+        return zip(boxes, repeat(None))
+    below = takewhile(lambda a: tuple(2 * x for x in a) < m, boxes)
+    fixed = () if any(x % 2 for x in m) else ((tuple(x // 2 for x in m), sign) for sign in "+-")
+    return chain(zip(below, repeat(None)), fixed)
 
 
 def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
@@ -333,21 +333,19 @@ def count_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
 
 
 def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
-    """JSON-ready record of an enumeration query (real kinds only). Each row
-    holds the sign counts a, and the blocks of its induced parameter grouped
-    by row length: m - a trivial blocks, then a sign blocks."""
-    kind = _check_query(
-        group, orbit, ENUMERATED_KINDS, "explicit enumeration is only available for gl-r and sl-r, not {}"
-    )
-    profile = row_profile(orbit.first)
+    """JSON-ready record of an enumeration query, one row per parameter of
+    _real_params: its sign counts a, and the blocks of its induced parameter
+    by row length, m - a trivial blocks, then a sign blocks."""
+    params = _real_params(group, orbit)  # checks the query first
+    lengths, mults = row_profile(orbit.first)
     rows = []
-    for index, (a, sign) in enumerate(_real_params(kind, profile)):
+    for index, (a, sign) in enumerate(params):
         blocks = []
-        for length, mult, signs in zip(profile.lengths, profile.mults, a):
+        for length, mult, signs in zip(lengths, mults, a):
             blocks.extend([length, "trivial"] for _ in range(mult - signs))
             blocks.extend([length, "sign"] for _ in range(signs))
         row = {"index": index, "blocks": blocks, "a": list(a)}
-        if kind is GroupKind.SL_R:
+        if group.kind is GroupKind.SL_R:
             row["sign"] = sign
         rows.append(row)
     return {

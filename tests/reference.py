@@ -81,3 +81,12 @@ def real_fields(orbit):
         sum(row for row in orbit if row % 2 == 0),
         sum(row for row in orbit if row % 2),
     )
+
+
+# Reference: the `enumerate` table line of one row of the JSON record, as the
+# table was rendered from the record before it streamed its rows: the index,
+# the block sizes, the block tags, and the sign of a signed row.
+def enumerate_line(row):
+    sizes = "[" + ",".join(str(size) for size, _ in row["blocks"]) + "]"
+    line = f"{row['index']}  {sizes}  {','.join(tag for _, tag in row['blocks'])}"
+    return f"{line}  {row['sign']}" if row.get("sign") else line

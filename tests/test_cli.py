@@ -1,14 +1,22 @@
 import importlib.util
 import json
+import os
 import resource
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unipcount.diagrams import all_diagrams
+import reference
+from conftest import run_cli
+from unipcount import cli
+from unipcount.diagrams import all_diagrams, diagram_text
 from unipcount.unipotent import (
     COMPLEX_KINDS,
     HERMITIAN_KINDS,
@@ -336,6 +344,59 @@ def test_count_and_cell_bytes_match_their_recorded_digests():
         if group.kind in HERMITIAN_KINDS | COMPLEX_KINDS:
             cells.update(_cell_line(group, orbit).encode())
     assert (counts.hexdigest(), cells.hexdigest()) == (COUNT_SHA256, CELL_SHA256)
+
+
+# SHA-256 of the stdout of `enumerate`, in table and in JSON form, at every
+# gl-r orbit with n <= 10 and every sl-r orbit with 2 <= n <= 10, in order of
+# size, then of all_diagrams, gl-r before sl-r. Recorded while the table was
+# still rendered from the JSON record. Computed in-process.
+ENUMERATE_SHA256 = {
+    "table": "2b2428e0e11dd1f57a733e2e93c135f0735ea4800921933cabec65002cccd8c7",
+    "json": "0a9677c50e1519e901a203aa59fe8480903b519ef34c9f7af81327ebfb72169e",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_SHA256))
+def test_enumerate_bytes_match_their_recorded_digests(cli_runner, fmt):
+    digest, queries = sha256(), 0
+    for n in range(1, 11):
+        for orbit in all_diagrams(n):
+            for kind in ("gl-r", "sl-r") if n >= 2 else ("gl-r",):
+                argv = ["enumerate", "--group", kind, "--orbit", diagram_text(orbit), "--format", fmt]
+                code, out, err = cli_runner(argv)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+                queries += 1
+    assert (queries, digest.hexdigest()) == (275, ENUMERATE_SHA256[fmt])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(2, 30).flatmap(lambda n: st.sampled_from(all_diagrams(n))),
+    st.sampled_from(["gl-r", "sl-r"]),
+)
+def test_enumerate_table_renders_each_json_row(orbit, kind):
+    # The table streams its rows and never reads the record, so this keeps
+    # the two forms in step: each line is the reference rendering of its row.
+    argv = ["enumerate", "--group", kind, "--orbit", diagram_text(orbit)]
+    code, table, _ = run_cli(argv)
+    _, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    assert table.splitlines() == [reference.enumerate_line(row) for row in json.loads(out)["params"]]
+
+
+def test_enumerate_table_streams_its_rows():
+    # 6! = 5,040 rows; the whole table is 0.9 MB of text.
+    argv = ["enumerate", "--group", "gl-r", "--orbit", "6,5,5,4,4,4,3,3,3,3,2,2,2,2,2,1,1,1,1,1,1"]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1024 * 1024
 
 
 @pytest.mark.parametrize(

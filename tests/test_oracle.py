@@ -362,7 +362,13 @@ def _sweep_faults():
             "1 mismatches; first: 2,1,1",
         ),
     }
-    return [pytest.param(check, *fault, id=check) for check, fault in faults.items()]
+    params = [pytest.param(check, *fault, id=check) for check, fault in faults.items()]
+    # sl-count-formula also certifies the parameter stream: a stream that
+    # drops the signed pair at 2,2 shows there.
+    stream = unipotent._real_params
+    dropped = lambda g, o: (p for p in stream(g, o) if p[1] is None or o.first != (2, 2))
+    fault = ("n=4", "n=3", (unipotent, "_real_params", dropped), "1 mismatches; first: 2,2")
+    return params + [pytest.param("sl-count-formula", *fault, id="sl-count-formula-stream")]
 
 
 @pytest.mark.parametrize("check, faulted, neighbour, patch, actual", _sweep_faults())

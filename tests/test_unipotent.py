@@ -430,6 +430,21 @@ def test_enumeration_record():
         enumeration_record(make_group("su", p=1, q=1), OrbitSpec((2,)))
 
 
+@pytest.mark.parametrize("kind", ["gl-c", "sl-c", "su", "u-tilde", "gl-h", "sl-h"])
+def test_real_params_refuses_every_other_kind(kind):
+    group = make_group(kind, p=2, q=2) if kind in ("su", "u-tilde") else make_group(kind, n=4)
+    orbit = OrbitSpec((2, 2), (2, 2)) if kind in ("gl-c", "sl-c") else OrbitSpec((2, 2))
+    refusal = f"explicit enumeration is only available for gl-r and sl-r, not {kind}"
+    with pytest.raises(UnsupportedGroupError, match=refusal):
+        list(unipotent._real_params(group, orbit))
+
+
+@pytest.mark.parametrize("kind", ["gl-r", "sl-r"])
+def test_real_params_refuses_an_orbit_of_the_wrong_size(kind):
+    with pytest.raises(DegreeMismatchError, match="orbit size 3 does not match n = 4"):
+        list(unipotent._real_params(make_group(kind, n=4), OrbitSpec((2, 1))))
+
+
 def test_orbit_spec_validates():
     assert OrbitSpec([2, 1]).first == (2, 1)
     assert OrbitSpec((2, 1), (3,)).second == (3,)
