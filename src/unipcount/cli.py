@@ -9,9 +9,10 @@ errors.
 import argparse
 import os
 import sys
+from functools import cache
 from operator import getitem
 
-from .diagrams import all_diagrams, diagram_text, format_diagram, parse_orbit, row_profile
+from .diagrams import all_diagrams, diagram_text, format_diagram, parse_orbit
 from .errors import EngineError
 from .oracle import TABLE_BOUND, run_checks
 from .symreps import _table_rows, character_table
@@ -21,14 +22,14 @@ from .unipotent import (
     GroupKind,
     GroupSpec,
     OrbitSpec,
+    _block_tags,
     _real_params,
     cell_rep,
     coherent_module,
     count_record,
     enumeration_record,
-    group_record,
     make_group,
-    orbit_record,
+    query_record,
 )
 
 CACHE_ENV = "UNIPCOUNT_CACHE_DIR"
@@ -120,8 +121,8 @@ def _cmd_enumerate(parser, args) -> int:
         return 0
     params = _real_params(group, orbit)  # checks the query before a row is printed
     # Every row's sizes are the orbit; a block's tags depend only on its sign count.
-    sizes, mults = format_diagram(orbit.first), row_profile(orbit.first).mults
-    tags = [[",".join(["trivial"] * (m - s) + ["sign"] * s) for s in range(m + 1)] for m in mults]
+    sizes = format_diagram(orbit.first)
+    tags = [[",".join(tag for _, tag in pairs) for pairs in row] for row in _block_tags(orbit.first)]
     for index, (a, sign) in enumerate(params):
         line = f"{index}  {sizes}  {','.join(map(getitem, tags, a))}"
         print(f"{line}  {sign}" if sign else line)
@@ -132,11 +133,7 @@ def _cmd_coh(parser, args) -> int:
     group, orbit = _resolve(parser, args)
     module = coherent_module(group, orbit)
     if args.format == "json":
-        record = {
-            "group": group_record(group),
-            "orbit": orbit_record(orbit),
-            **module.to_json_obj(),
-        }
+        record = query_record(group, orbit, **module.to_json_obj())
         if module.parts:
             record["parts"] = {
                 name: module.parts[name].to_json_obj()
@@ -145,8 +142,9 @@ def _cmd_coh(parser, args) -> int:
         _emit(record)
         return 0
     print("shape: " + ",".join(str(s) for s in module.shape))
+    text = cache(format_diagram)  # each label is rendered once per command
     for key, m in module.entries():
-        print(f"{m}  " + " ".join(format_diagram(d) for d in key))
+        print(f"{m}  " + " ".join(map(text, key)))
     return 0
 
 
@@ -154,13 +152,7 @@ def _cmd_cell(parser, args) -> int:
     group, orbit = _resolve(parser, args)
     cell = cell_rep(group, orbit)
     if args.format == "json":
-        _emit(
-            {
-                "group": group_record(group),
-                "orbit": orbit_record(orbit),
-                "cell": [list(d) for d in cell],
-            }
-        )
+        _emit(query_record(group, orbit, cell=[list(d) for d in cell]))
     else:
         print(" ".join(format_diagram(d) for d in cell))
     return 0
@@ -234,13 +226,21 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:  # the reader left; main stops quietly
+        raise
     except (EngineError, OSError) as exc:  # OSError: a cache that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: stdout to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

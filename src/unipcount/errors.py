@@ -25,6 +25,10 @@ class OracleBoundError(EngineError):
     """A brute-force oracle was asked to exceed its configured bound."""
 
 
+class SizeBoundError(EngineError):
+    """An input would build an object larger than the engine can hold."""
+
+
 def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]:
     """The entries of given as ints when all are whole numbers: 2.0 and True
     are; 2.7, "2", "x", nan, inf, None and [1] are refused, not truncated, by

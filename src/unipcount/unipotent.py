@@ -3,10 +3,12 @@ real general and special linear groups, cell labels, and the multiplicity
 based counts of special unipotent representations for all supported kinds.
 """
 
+import sys
 from enum import Enum
 from functools import cache
 from itertools import chain, product, repeat, takewhile
 from math import prod
+from operator import getitem
 from typing import Iterator, NamedTuple
 
 from .diagrams import (
@@ -16,7 +18,7 @@ from .diagrams import (
     row_profile,
     transpose_blocks,
 )
-from .errors import DegreeMismatchError, InvalidPartitionError, UnsupportedGroupError, whole_numbers
+from .errors import DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
     _strip_fillings,
@@ -123,10 +125,6 @@ class OrbitSpec(_Orbit):
         first = check_diagram(first)
         return tuple.__new__(cls, (first, None if second is None else check_diagram(second)))
 
-    @property
-    def is_pair(self) -> bool:
-        return self.second is not None
-
 
 def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: str) -> GroupKind:
     """The group's kind, once a query may run on it: the group and orbit
@@ -141,7 +139,7 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
     if kind not in kinds:
         raise UnsupportedGroupError(refusal.format(kind.value))
     if kind in COMPLEX_KINDS:
-        if orbit.second is None:  # is_pair, without a property call per query
+        if orbit.second is None:
             raise DegreeMismatchError(f"kind {kind.value} takes an ordered pair of diagrams")
         sizes = (sum(orbit.first), sum(orbit.second))
         if sizes != (group.n, group.n):
@@ -168,7 +166,10 @@ def _orbit_record(orbit: Diagram) -> _OrbitRecord:
     in one pass: a and b are transpose_blocks (Macdonald I.1) of the
     even-length and the odd-length blocks, and a block can hold the cell
     when every multiplicity of its matchings label's parity is even, as
-    that label's rows are running totals of those multiplicities."""
+    that label's rows are running totals of those multiplicities. A label
+    has as many rows as its parity's longest orbit row, at most sys.maxsize."""
+    if orbit[0] > sys.maxsize:
+        raise SizeBoundError(f"row length {orbit[0]} exceeds sys.maxsize: the cell labels would have that many rows")
     lengths, mults = row_profile(orbit)
     halves = ([], []), ([], [])  # (lengths, mults) of the even-length, then the odd-length blocks
     for length, m in zip(lengths, mults):
@@ -304,53 +305,45 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     return count
 
 
-def group_record(group: GroupSpec) -> dict:
-    rec: dict = {"kind": group.kind.value, "n": group.n}
+def query_record(group: GroupSpec, orbit: OrbitSpec, **fields) -> dict:
+    """JSON-ready record of a query: its group (kind, n, and p and q for the
+    hermitian kinds), its orbit (rows, or a pair of them), then fields."""
+    head = {"kind": group.kind.value, "n": group.n}
     if group.kind in HERMITIAN_KINDS:
-        rec["p"] = group.p
-        rec["q"] = group.q
-    return rec
-
-
-def orbit_record(orbit: OrbitSpec) -> list:
-    if orbit.is_pair:
-        return [list(orbit.first), list(orbit.second)]
-    return list(orbit.first)
+        head |= {"p": group.p, "q": group.q}
+    first = list(orbit.first)
+    return {"group": head, "orbit": first if orbit.second is None else [first, list(orbit.second)], **fields}
 
 
 def count_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     """JSON-ready record of a count query."""
     count = count_unipotent(group, orbit)  # checks the query first
     n_h, n_0 = coset_signature(orbit.first)
-    return {
-        "group": group_record(group),
-        "orbit": orbit_record(orbit),
-        "n_h": n_h,
-        "n_0": n_0,
-        "count": count,
-        "method": "enumeration" if group.kind in ENUMERATED_KINDS else "multiplicity",
-    }
+    method = "enumeration" if group.kind in ENUMERATED_KINDS else "multiplicity"
+    return query_record(group, orbit, n_h=n_h, n_0=n_0, count=count, method=method)
+
+
+def _block_tags(orbit: Diagram) -> list[list[list[list]]]:
+    """For each distinct row length of orbit, of multiplicity m, and each sign
+    count s = 0..m, the [length, tag] pairs of its blocks in an induced
+    parameter: m - s 'trivial', then s 'sign', each a shared pair."""
+    return [
+        [[[length, "trivial"]] * (m - s) + [[length, "sign"]] * s for s in range(m + 1)]
+        for length, m in zip(*row_profile(orbit))
+    ]
 
 
 def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     """JSON-ready record of an enumeration query, one row per parameter of
-    _real_params: its sign counts a, and the blocks of its induced parameter
-    by row length, m - a trivial blocks, then a sign blocks."""
+    _real_params: its sign counts a, and the blocks of its induced parameter,
+    read off _block_tags by row length. The rows share their inner
+    [length, tag] pairs."""
     params = _real_params(group, orbit)  # checks the query first
-    lengths, mults = row_profile(orbit.first)
+    tags = _block_tags(orbit.first)
     rows = []
     for index, (a, sign) in enumerate(params):
-        blocks = []
-        for length, mult, signs in zip(lengths, mults, a):
-            blocks.extend([length, "trivial"] for _ in range(mult - signs))
-            blocks.extend([length, "sign"] for _ in range(signs))
-        row = {"index": index, "blocks": blocks, "a": list(a)}
+        row = {"index": index, "blocks": list(chain.from_iterable(map(getitem, tags, a))), "a": list(a)}
         if group.kind is GroupKind.SL_R:
             row["sign"] = sign
         rows.append(row)
-    return {
-        "group": group_record(group),
-        "orbit": orbit_record(orbit),
-        "count": len(rows),
-        "params": rows,
-    }
+    return query_record(group, orbit, count=len(rows), params=rows)

@@ -90,3 +90,14 @@ def enumerate_line(row):
     sizes = "[" + ",".join(str(size) for size, _ in row["blocks"]) + "]"
     line = f"{row['index']}  {sizes}  {','.join(tag for _, tag in row['blocks'])}"
     return f"{line}  {row['sign']}" if row.get("sign") else line
+
+
+# Reference: the blocks of one enumeration row, as enumeration_record built
+# them before the rows shared a table of [length, tag] pairs: for each row
+# length, mult - signs fresh trivial blocks, then signs fresh sign blocks.
+def enumeration_blocks(orbit, a):
+    blocks = []
+    for length, mult, signs in zip(*row_profile(orbit), a):
+        blocks.extend([length, "trivial"] for _ in range(mult - signs))
+        blocks.extend([length, "sign"] for _ in range(signs))
+    return blocks

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import run_cli
 from unipcount import cli
-from unipcount.diagrams import all_diagrams, diagram_text
+from unipcount.diagrams import all_diagrams, diagram_text, format_diagram
 from unipcount.unipotent import (
     COMPLEX_KINDS,
     HERMITIAN_KINDS,
@@ -24,10 +24,10 @@ from unipcount.unipotent import (
     GroupKind,
     OrbitSpec,
     cell_rep,
+    coherent_module,
     count_record,
-    group_record,
     make_group,
-    orbit_record,
+    query_record,
 )
 
 
@@ -66,13 +66,30 @@ def test_count_json_record(cli_runner):
 LONG_ROW = "99999999999999999999999"  # longer than sys.maxsize
 
 
-@pytest.mark.parametrize("kind, count", [("gl-r", 2), ("sl-r", 1)])
+@pytest.mark.parametrize("kind, count", [("gl-r", 2), ("sl-r", 1), ("gl-c", 1), ("sl-c", 1)])
 def test_real_count_at_a_row_longer_than_maxsize(cli_runner, kind, count):
     code, out, err = cli_runner(["count", "--group", kind, "--orbit", LONG_ROW])
     assert (code, out, err) == (0, f"{count}\n", "")
     code, out, _ = cli_runner(["count", "--group", kind, "--orbit", LONG_ROW, "--format", "json"])
     rec = json.loads(out)
     assert (code, rec["count"], rec["n_h"], rec["n_0"]) == (0, count, 0, int(LONG_ROW))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--group", "su", "--p", "49999999999999999999999", "--q", "50000000000000000000000"],
+        ["count", "--group", "u-tilde", "--p", "0", "--q", LONG_ROW],
+        ["cell", "--group", "gl-c"],
+    ],
+    ids=["count-su", "count-u-tilde", "cell-gl-c"],
+)
+def test_a_cell_label_longer_than_maxsize_is_refused(cli_runner, argv):
+    # The cell labels would have LONG_ROW rows: one error line, no traceback.
+    code, out, err = cli_runner([*argv, "--orbit", LONG_ROW])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert LONG_ROW in err
 
 
 def test_enumerate_sl_r_rows(cli_runner):
@@ -327,7 +344,7 @@ def _queries(max_n):
 def _cell_line(group, orbit):
     """The stdout line of `cell --format json` at the group and orbit."""
     cell = [list(d) for d in cell_rep(group, orbit)]
-    return json.dumps({"group": group_record(group), "orbit": orbit_record(orbit), "cell": cell}) + "\n"
+    return json.dumps(query_record(group, orbit, cell=cell)) + "\n"
 
 
 # SHA-256 of the `count --format json` lines and of the `cell --format json`
@@ -356,6 +373,9 @@ ENUMERATE_SHA256 = {
 }
 
 
+ENUMERATE_ORBIT = "6,5,5,4,4,4,3,3,3,3,2,2,2,2,2,1,1,1,1,1,1"  # 6! = 5,040 gl-r rows
+
+
 @pytest.mark.parametrize("fmt", sorted(ENUMERATE_SHA256))
 def test_enumerate_bytes_match_their_recorded_digests(cli_runner, fmt):
     digest, queries = sha256(), 0
@@ -368,6 +388,32 @@ def test_enumerate_bytes_match_their_recorded_digests(cli_runner, fmt):
                 digest.update(out.encode())
                 queries += 1
     assert (queries, digest.hexdigest()) == (275, ENUMERATE_SHA256[fmt])
+
+
+# SHA-256 of the stdout of `coh`, in table and in JSON form, at every orbit
+# with n <= 6 in order of size, then of all_diagrams: su at p = 0..n, u-tilde
+# at p = 0..n, gl-c, and sl-c when n >= 2. Recorded before each label's text
+# was rendered once per command. Computed in-process.
+COH_SHA256 = {
+    "table": "e78b50eadd2f90df54615e253243dd6333163478a67cc78505b91af0a61d7891",
+    "json": "3ef52618617f064f7dd8d6d5908a890c72cb612f306d7314b4a6629ab28b2990",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(COH_SHA256))
+def test_coh_bytes_match_their_recorded_digests(cli_runner, fmt):
+    digest, queries = sha256(), 0
+    for n in range(1, 7):
+        for orbit in all_diagrams(n):
+            groups = [[kind, "--p", str(p), "--q", str(n - p)] for kind in ("su", "u-tilde") for p in range(n + 1)]
+            groups += [["gl-c"]] + ([["sl-c"]] if n >= 2 else [])
+            for group in groups:
+                argv = ["coh", "--group", *group, "--orbit", diagram_text(orbit), "--format", fmt]
+                code, out, err = cli_runner(argv)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+                queries += 1
+    assert (queries, digest.hexdigest()) == (385, COH_SHA256[fmt])
 
 
 @settings(deadline=None, max_examples=40)
@@ -385,9 +431,11 @@ def test_enumerate_table_renders_each_json_row(orbit, kind):
     assert table.splitlines() == [reference.enumerate_line(row) for row in json.loads(out)["params"]]
 
 
-def test_enumerate_table_streams_its_rows():
-    # 6! = 5,040 rows; the whole table is 0.9 MB of text.
-    argv = ["enumerate", "--group", "gl-r", "--orbit", "6,5,5,4,4,4,3,3,3,3,2,2,2,2,2,1,1,1,1,1,1"]
+@pytest.mark.parametrize("fmt, bound", [("table", 1), ("json", 10)])
+def test_enumerate_table_streams_its_rows(fmt, bound):
+    # 6! = 5,040 rows; the whole table is 0.9 MB of text. The JSON record is
+    # built whole, but its rows share their [length, tag] pairs.
+    argv = ["enumerate", "--group", "gl-r", "--orbit", ENUMERATE_ORBIT, "--format", fmt]
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -396,7 +444,36 @@ def test_enumerate_table_streams_its_rows():
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 1024 * 1024
+    assert peak < bound * 1024 * 1024
+
+
+def test_a_closed_pipe_stops_enumerate_quietly(child_env):
+    # The reader takes one line of 5,040 and closes the pipe: exit 1, and
+    # nothing on stderr.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unipcount.cli", "enumerate", "--group", "gl-r", "--orbit", ENUMERATE_ORBIT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"0  [6,5,5,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_coh_table_renders_each_label_once(cli_runner, monkeypatch):
+    rendered = []
+    monkeypatch.setattr(cli, "format_diagram", lambda d: rendered.append(d) or format_diagram(d))
+    code, out, _ = cli_runner(["coh", "--group", "sl-c", "--orbit", "4,4,3,2,1"])
+    group, orbit = make_group("sl-c", n=14), OrbitSpec((4, 4, 3, 2, 1), (4, 4, 3, 2, 1))
+    labels = {d for key, _ in coherent_module(group, orbit).entries() for d in key}
+    assert code == 0
+    assert len(rendered) == len(set(rendered)) == len(labels) == 47
 
 
 @pytest.mark.parametrize(

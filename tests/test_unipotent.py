@@ -4,7 +4,7 @@ import tracemalloc
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -13,6 +13,7 @@ from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
     InvalidPartitionError,
+    SizeBoundError,
     UnsupportedGroupError,
 )
 from unipcount.unipotent import (
@@ -156,6 +157,28 @@ def test_gl_r_params_structure():
     mixed = enumeration_record(make_group("gl-r", n=7), OrbitSpec((3, 3, 1)))["params"][3]
     assert mixed["a"] == [1, 1]
     assert mixed["blocks"] == [[3, "trivial"], [3, "sign"], [1, "sign"]]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(2, 30).flatmap(lambda n: st.sampled_from(all_diagrams(n))),
+    st.sampled_from(["gl-r", "sl-r"]),
+)
+def test_enumeration_blocks_match_the_per_block_rule(orbit, kind):
+    # The record's rows are concatenations of one shared table of pairs;
+    # each must equal the blocks built one by one.
+    rows = enumeration_record(make_group(kind, n=sum(orbit)), OrbitSpec(orbit))["params"]
+    assert [row["blocks"] for row in rows] == [reference.enumeration_blocks(orbit, row["a"]) for row in rows]
+
+
+@pytest.mark.parametrize("kind", ["su", "u-tilde"])
+def test_a_cell_label_longer_than_maxsize_is_refused(kind):
+    # The labels would have 10**23 rows; refused before one is built.
+    row = 10**23
+    group, orbit = make_group(kind, p=row // 2, q=row // 2), OrbitSpec((row,))
+    for query in (count_unipotent, cell_rep):
+        with pytest.raises(SizeBoundError, match=str(row)):
+            query(group, orbit)
 
 
 def test_sign_twist_involution_and_fixed_points():
@@ -448,7 +471,7 @@ def test_real_params_refuses_an_orbit_of_the_wrong_size(kind):
 def test_orbit_spec_validates():
     assert OrbitSpec([2, 1]).first == (2, 1)
     assert OrbitSpec((2, 1), (3,)).second == (3,)
-    assert not OrbitSpec((2, 1)).is_pair
+    assert OrbitSpec((2, 1)).second is None
     # Orbits are values: equal and hashed by their (checked) diagrams, and
     # immutable.
     assert OrbitSpec([2, 1]) == OrbitSpec((2, 1)) != OrbitSpec((2, 1), (2, 1))
