@@ -7,7 +7,8 @@ row lengths, with () the empty diagram.
 """
 
 from functools import cache, lru_cache
-from operator import lt
+from itertools import accumulate, chain, repeat
+from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidPartitionError, whole_numbers
@@ -49,18 +50,7 @@ def _checked(given: tuple) -> Diagram:
 
 def transpose(d: Diagram) -> Diagram:
     """Column lengths of d, i.e. the reflected diagram."""
-    return transpose_blocks(*row_profile(d))
-
-
-def transpose_blocks(lengths: Sequence[int], mults: Sequence[int]) -> Diagram:
-    """Transpose of the diagram with mults[i] rows of length lengths[i], the
-    lengths strictly decreasing: the running totals of mults, each repeated by
-    the gap from its length to the next shorter one (Macdonald I.1)."""
-    columns, rows, shorter = [], sum(mults), 0
-    for length, m in zip(reversed(lengths), reversed(mults)):
-        columns += [rows] * (length - shorter)
-        rows, shorter = rows - m, length
-    return tuple(columns)
+    return tuple(chain.from_iterable(map(repeat, *transpose_profile(*row_profile(d)))))
 
 
 @cache
@@ -98,6 +88,14 @@ def row_profile(d: Diagram) -> RowProfile:
             lengths.append(p)
             mults.append(1)
     return RowProfile(tuple(lengths), tuple(mults))
+
+
+def transpose_profile(lengths: Sequence[int], mults: Sequence[int]) -> RowProfile:
+    """Row profile of the transpose of the diagram with mults[i] rows of length lengths[i],
+    strictly decreasing (Macdonald I.1): the running totals of mults, longest first, each
+    with the gap from its length to the next shorter one (or to 0) as multiplicity."""
+    shortest_first = lengths[::-1]
+    return RowProfile(tuple(accumulate(mults))[::-1], tuple(map(sub, shortest_first, (0, *shortest_first))))
 
 
 def even_odd_split(d: Diagram) -> tuple[Diagram, Diagram]:

@@ -11,17 +11,11 @@ from math import prod
 from operator import getitem
 from typing import Iterator, NamedTuple
 
-from .diagrams import (
-    Diagram,
-    check_diagram,
-    coset_signature,
-    row_profile,
-    transpose_blocks,
-)
+from .diagrams import Diagram, check_diagram, coset_signature, even_odd_split, row_profile, transpose, transpose_profile
 from .errors import DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
-    _strip_fillings,
+    _profile_fillings,
     coh_gl_complex,
     coh_sl_complex,
     coh_su,
@@ -154,30 +148,31 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
     return kind
 
 
-class _OrbitRecord(NamedTuple):  # all an su or u-tilde count, or cell_rep, reads at one orbit diagram
-    cell: tuple[Diagram, Diagram]
-    blocks: tuple[tuple[tuple[int, ...], int], ...]  # (c_odd, even)
-
-
 # Cached: a sweep counts each orbit at every (p, q).
 @cache
-def _orbit_record(orbit: Diagram) -> _OrbitRecord:
-    """The cell and the blocks that can hold it, read off row_profile(orbit)
-    in one pass: a and b are transpose_blocks (Macdonald I.1) of the
-    even-length and the odd-length blocks, and a block can hold the cell
-    when every multiplicity of its matchings label's parity is even, as
-    that label's rows are running totals of those multiplicities. A label
-    has as many rows as its parity's longest orbit row, at most sys.maxsize."""
+def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(c_odd, even) of each block that can hold the cell, read off row_profile(orbit) with
+    no cell label: the block matching the transpose of one parity half, when each of that
+    half's multiplicities is even, takes _profile_fillings of transpose_profile of the other
+    half (Macdonald I.1). c_odd has at most one entry more than the other half's longest row."""
     if orbit[0] > sys.maxsize:
-        raise SizeBoundError(f"row length {orbit[0]} exceeds sys.maxsize: the cell labels would have that many rows")
-    lengths, mults = row_profile(orbit)
+        raise SizeBoundError(f"row length {orbit[0]} exceeds sys.maxsize: a count's c_odd list could be that long")
     halves = ([], []), ([], [])  # (lengths, mults) of the even-length, then the odd-length blocks
-    for length, m in zip(lengths, mults):
+    for length, m in zip(*row_profile(orbit)):
         halves[length % 2][0].append(length)
         halves[length % 2][1].append(m)
-    a, b = (transpose_blocks(*half) for half in halves)
-    blocks = tuple(_strip_fillings(other) for (_, ms), other in zip(halves, (b, a)) if not any(m % 2 for m in ms))
-    return _OrbitRecord((a, b), blocks)
+    others = (other for (_, ms), other in zip(halves, halves[::-1]) if not any(m % 2 for m in ms))
+    return tuple(_profile_fillings(*transpose_profile(*other)) for other in others)
+
+
+# Cached apart from _orbit_record: cell and verify read the labels, and no count does.
+@cache
+def _cell_labels(orbit: Diagram) -> tuple[Diagram, Diagram]:
+    """(transpose of the even rows, transpose of the odd rows) of orbit,
+    each with as many rows as its half's longest row, at most sys.maxsize."""
+    if orbit[0] > sys.maxsize:
+        raise SizeBoundError(f"row length {orbit[0]} exceeds sys.maxsize: a cell label would have that many rows")
+    return tuple(map(transpose, even_odd_split(orbit)))
 
 
 def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
@@ -185,9 +180,10 @@ def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
 
     Hermitian kinds give (transpose of even rows, transpose of odd rows);
     the complex kinds double that tuple, built from the first pair component.
+    The labels are cached per orbit diagram, apart from count_unipotent's record.
     """
     kind = _check_query(group, orbit, _CELL_KINDS, "no cell label for kind {}")
-    pair = _orbit_record(orbit.first).cell
+    pair = _cell_labels(orbit.first)
     return pair + pair if kind in COMPLEX_KINDS else pair
 
 
@@ -252,17 +248,18 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     summand holds it only if the label in its matchings factor, a or b, of
     size r, has all rows even, and then as often as
     sign_induction_multiplicity holds the other label at (p - r/2, q - r/2):
-    c_odd[i] * even, where (c_odd, even) = _strip_fillings(other label) and
-    i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out of range. The summand
-    needs min(p, q) >= r/2, and the range of i already ensures it: the other
-    label has size p + q - r and len(c_odd) - 1 odd rows, so a block with
-    min(p, q) < r/2 has |p - q| > p + q - r >= len(c_odd) - 1, which puts i
-    outside 0 <= i < len(c_odd). One cached record per orbit diagram, read
-    off its row profile, keeps the cell and (c_odd, even) for each block
-    that can hold it, so a count at any (p, q) sums at most two products.
-    By Macdonald I.1 the rows of a (of b) are running totals of the
-    multiplicities of the even (odd) row lengths, so a has all rows even
-    exactly when each of those multiplicities is.
+    c_odd[i] * even, where (c_odd, even) = _profile_fillings of the other
+    label's row profile and i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out
+    of range. The summand needs min(p, q) >= r/2, and the range of i already
+    ensures it: the other label has size p + q - r and len(c_odd) - 1 odd
+    rows, so a block with min(p, q) < r/2 has |p - q| > p + q - r >=
+    len(c_odd) - 1, which puts i outside 0 <= i < len(c_odd). By Macdonald
+    I.1 the rows of a (of b) are running totals of the multiplicities of the
+    even (odd) row lengths, so a has all rows even exactly when each of
+    those multiplicities is, and a label's row profile is transpose_profile
+    of its half of row_profile(orbit). One cached record per orbit diagram
+    keeps (c_odd, even) for each block that can hold the cell, so a count at
+    any (p, q) sums at most two products and builds no label.
     The diagonal summands of SU never contain the cell, so SU and the double
     cover share this formula. Proof: the largest part of transpose(d) is
     the number of rows of d, and it occurs as many times as the smallest row
@@ -298,7 +295,7 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
         return (total + 3 * (not any(m % 2 for m in mults))) // 2
     p, q = group.p, group.q
     count = 0
-    for c_odd, even in _orbit_record(orbit.first).blocks:
+    for c_odd, even in _orbit_record(orbit.first):
         i = (len(c_odd) - 1 + p - q) // 2
         if 0 <= i < len(c_odd):
             count += c_odd[i] * even

@@ -183,11 +183,15 @@ def sign_induction_module(p: int, q: int) -> ModuleDecomp:
 
 @cache
 def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
-    """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the
-    product of m_b + 1 over the even-length blocks of nu."""
-    profile = row_profile(nu)
+    """_profile_fillings of nu's row profile, once per label."""
+    return _profile_fillings(*row_profile(nu))
+
+
+def _profile_fillings(lengths: Iterable[int], mults: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the product
+    of m_b + 1 over the even-length blocks of the label with mults[b] rows of length lengths[b]."""
     c_odd, even = [1], 1
-    for length, m in zip(profile.lengths, profile.mults):
+    for length, m in zip(lengths, mults):
         if length % 2:  # times 1 + x + ... + x^m: each coefficient is a window of m + 1 running totals
             totals = list(accumulate(c_odd + [0] * m, initial=0))
             c_odd = list(map(sub, totals[1:], [0] * m + totals))

@@ -1,7 +1,7 @@
 from operator import lt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -16,6 +16,7 @@ from unipcount.diagrams import (
     row_profile,
     row_union,
     transpose,
+    transpose_profile,
 )
 from unipcount.errors import InvalidPartitionError
 
@@ -89,6 +90,21 @@ def test_transpose_matches_the_reference_with_a_long_row_and_column(parts, row, 
     d = tuple(sorted([max(parts, default=1) + row, *parts, *[1] * column], reverse=True))
     assert transpose(d) == reference.transpose(d)
     assert transpose(transpose(d)) == d
+
+
+def test_transpose_profile_matches_the_column_count_reference_through_n_16():
+    # Macdonald I.1 on the row profile, against the transpose counted column
+    # by column and then profiled.
+    for d in diagrams_up_to(16):
+        assert transpose_profile(*row_profile(d)) == row_profile(reference.transpose(d)), d
+
+
+# Up to eight distinct row lengths up to 10**4, each up to five times.
+@settings(max_examples=40)
+@given(st.dictionaries(st.integers(1, 10**4), st.integers(1, 5), max_size=8))
+def test_transpose_profile_matches_the_reference_with_rows_up_to_10_000(blocks):
+    d = tuple(length for length in sorted(blocks, reverse=True) for _ in range(blocks[length]))
+    assert transpose_profile(*row_profile(d)) == row_profile(reference.transpose(d))
 
 
 @pytest.mark.parametrize(

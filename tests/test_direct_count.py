@@ -1,15 +1,19 @@
 """The direct counts of count_unipotent against the built modules: the Pieri
 multiplicity for su and u-tilde, and the closed form for gl-c and sl-c."""
 
+from collections import Counter
 from functools import cache
+from math import comb, prod
+from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import block_multiplicity, strip_fillings
-from unipcount import unipotent, weylmodules
+from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
 from unipcount.oracle import lr_coefficient
+from unipcount.symreps import character_table
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
     coh_gl_complex,
@@ -114,6 +118,51 @@ def test_sign_induction_multiplicity_matches_strip_chains():
     # chains above would count (2,) once for p = q = 0.
     assert sign_induction_multiplicity((2,), 0, 0) == 0
     assert sign_induction_multiplicity((3, 1), 1, 1) == 0
+
+
+def _fixed_matchings(cls):
+    """Perfect matchings fixed by a permutation of cycle type cls. The c
+    cycles of length l pair up, 2j of them in (2j - 1)!! l^j ways, and each
+    one left over matches its own points in one way when l is even (x with
+    its image l/2 steps on) and in none when l is odd."""
+    count = 1
+    for length, c in Counter(cls).items():
+        count *= sum(
+            comb(c, 2 * j) * prod(range(2 * j - 1, 0, -2)) * length**j
+            for j in range(c // 2 + 1)
+            if length % 2 == 0 or 2 * j == c
+        )
+    return count
+
+
+def test_fixed_matchings_closed_form_matches_the_matchings_oracle(monkeypatch):
+    monkeypatch.setattr(oracle, "MATCHINGS_BOUND", 5)
+    for r in range(6):
+        brute = oracle.matchings_character(r).values
+        assert {cls: _fixed_matchings(cls) for cls in all_diagrams(2 * r)} == brute, r
+
+
+def test_sign_induction_character_matches_the_induced_matchings_class_by_class():
+    # A character fixes its module, so sign induction is certified by one
+    # identity per class mu of S_n, independent of the Pieri reasoning:
+    # sum_nu m(nu; p, q) chi^nu(mu) is the sum over k of the character of
+    # fix_k x sgn x sgn induced from S_2k x S_{p-k} x S_{q-k}, by the
+    # class-fusion weights of the oracle. Every p + q <= 12.
+    for n in range(1, 13):
+        classes, table = all_diagrams(n), character_table(n)
+        fixed = {d: [_fixed_matchings(cls) for cls in all_diagrams(d)] for d in range(0, n + 1, 2)}
+        sign = {d: [(-1) ** (d - len(cls)) for cls in all_diagrams(d)] for d in range(n + 1)}
+        for p in range(n + 1):
+            q = n - p
+            left = [0] * len(classes)
+            for nu in classes:
+                if m := sign_induction_multiplicity(nu, p, q):
+                    left = [x + m * value for x, value in zip(left, table[nu])]
+            right = [0] * len(classes)
+            for k in range(min(p, q) + 1):
+                induced = oracle._induce((2 * k, p - k, q - k), [fixed[2 * k], sign[p - k], sign[q - k]])
+                right = list(map(add, right, induced))
+            assert left == right, (p, q)
 
 
 # A label's row profile: up to five short blocks, and up to two odd-length

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from unipcount import oracle, unipotent, weylmodules
+from unipcount import diagrams, oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import (
     DegreeMismatchError,
@@ -338,12 +338,56 @@ def test_cell_is_computed_once_per_orbit():
 
 
 def test_orbit_record_matches_the_reference_through_n_22():
-    # Every field read off the row profile equals the one built from the
-    # transposed even and odd parts, at every orbit with n <= 22.
+    # The blocks read off the row profile, and the cell, equal the ones built
+    # from the transposed even and odd parts, at every orbit with n <= 22.
     orbits = diagrams_up_to(22)
     assert len(orbits) == 4507
     for orbit in orbits:
-        assert tuple(unipotent._orbit_record(orbit)) == reference.orbit_record(orbit), orbit
+        cell, blocks = reference.orbit_record(orbit)
+        assert unipotent._orbit_record(orbit) == blocks, orbit
+        assert cell_rep(make_group("su", p=sum(orbit), q=0), OrbitSpec(orbit)) == cell, orbit
+
+
+# Orbits past n = 22: up to six distinct row lengths up to 3000, each once,
+# twice or four times, so that a parity half often has only even
+# multiplicities and its block holds the cell.
+long_orbits = st.dictionaries(st.integers(1, 3000), st.sampled_from((1, 2, 4)), min_size=1, max_size=6).map(
+    lambda blocks: tuple(length for length in sorted(blocks, reverse=True) for _ in range(blocks[length]))
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(long_orbits)
+def test_orbit_record_matches_the_reference_past_n_22(orbit):
+    cell, blocks = reference.orbit_record(orbit)
+    assert unipotent._orbit_record(orbit) == blocks
+    assert cell_rep(make_group("su", p=sum(orbit), q=0), OrbitSpec(orbit)) == cell
+
+
+def test_hermitian_counts_build_no_cell_label(monkeypatch):
+    # A cold su and u-tilde sweep over every orbit with n <= 12 and every p
+    # reads the blocks alone: every name in the engine that builds a cell
+    # label, or fills a cache keyed by one, raises. The answers are those of
+    # the reference record's closed form.
+    expected = {}
+    for orbit in diagrams_up_to(12):
+        _, blocks = reference.orbit_record(orbit)
+        n = sum(orbit)
+        for p in range(n + 1):
+            terms = ((c_odd, even, (len(c_odd) - 1 + 2 * p - n) // 2) for c_odd, even in blocks)
+            expected[orbit, p] = sum(c_odd[i] * even for c_odd, even, i in terms if 0 <= i < len(c_odd))
+
+    def refuse(*args):
+        raise AssertionError(f"a count built or read a cell label: {args}")
+
+    for module in (diagrams, unipotent, weylmodules):
+        for name in ("transpose", "_strip_fillings", "_cell_labels"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    unipotent._orbit_record.cache_clear()
+    for (orbit, p), count in expected.items():
+        for kind in ("su", "u-tilde"):
+            assert count_unipotent(make_group(kind, p=p, q=sum(orbit) - p), OrbitSpec(orbit)) == count, (orbit, p)
 
 
 def test_real_counts_and_signature_match_the_reference_through_n_22():
@@ -373,17 +417,16 @@ def _cleared_engine_caches():
 
 def test_sweep_fills_one_record_per_orbit():
     # A cold su and u-tilde sweep at n = 12 fills one record per orbit, p(12)
-    # = 77, and no cache keyed by (p, q): the only other cache it fills is
-    # _strip_fillings, keyed by a cell label.
+    # = 77, and no other cache: none keyed by (p, q), and neither the cell
+    # labels nor _strip_fillings, keyed by a cell label.
     caches = _cleared_engine_caches()
     for orbit in map(OrbitSpec, all_diagrams(12)):
         for p in range(13):
             for kind in ("su", "u-tilde"):
                 count_unipotent(make_group(kind, p=p, q=12 - p), orbit)
     filled = {name: fn.cache_info().currsize for name, fn in caches.items()}
-    assert {name for name, size in filled.items() if size} == {"_orbit_record", "_strip_fillings"}
+    assert {name for name, size in filled.items() if size} == {"_orbit_record"}
     assert filled["_orbit_record"] == len(all_diagrams(12)) == 77
-    assert filled["_strip_fillings"] <= 2 * 77
 
 
 def test_real_and_complex_count_records_fill_no_cache():
