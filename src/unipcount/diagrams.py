@@ -11,7 +11,7 @@ from itertools import accumulate, chain, repeat
 from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidPartitionError, whole_numbers
+from .errors import MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, whole_numbers
 
 Diagram = tuple[int, ...]
 
@@ -55,9 +55,12 @@ def transpose(d: Diagram) -> Diagram:
 
 @cache
 def all_diagrams(n: int) -> tuple[Diagram, ...]:
-    """All partitions of n, in decreasing lexicographic order."""
+    """All partitions of n, in decreasing lexicographic order, for
+    0 <= n <= MAX_PARTITIONED."""
     if n < 0:
         raise InvalidPartitionError(f"cannot partition a negative total: {n}")
+    if n > MAX_PARTITIONED:
+        raise SizeBoundError(f"cannot list the partitions of {n}: the bound is n <= {MAX_PARTITIONED}")
     return tuple(_partitions(n, n))
 
 

@@ -1,4 +1,5 @@
-"""Exception types and the whole-number test shared across the engine."""
+"""Exception types, the size bounds behind SizeBoundError, and the
+whole-number test shared across the engine."""
 
 
 class EngineError(Exception):
@@ -27,6 +28,14 @@ class OracleBoundError(EngineError):
 
 class SizeBoundError(EngineError):
     """An input would build an object larger than the engine can hold."""
+
+
+# Entries of the longest per-row list the engine builds: the c_odd list of a
+# count's fillings, or the rows of a cell label. 10**6 ints take about 36 MB.
+MAX_ROWS = 10**6
+
+# The largest n whose partitions all_diagrams lists: p(50) = 204,226 of them.
+MAX_PARTITIONED = 50
 
 
 def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]:

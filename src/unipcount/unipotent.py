@@ -3,7 +3,6 @@ real general and special linear groups, cell labels, and the multiplicity
 based counts of special unipotent representations for all supported kinds.
 """
 
-import sys
 from enum import Enum
 from functools import cache
 from itertools import chain, product, repeat, takewhile
@@ -12,7 +11,7 @@ from operator import getitem
 from typing import Iterator, NamedTuple
 
 from .diagrams import Diagram, check_diagram, coset_signature, even_odd_split, row_profile, transpose, transpose_profile
-from .errors import DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
+from .errors import MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
     _profile_fillings,
@@ -154,24 +153,31 @@ def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(c_odd, even) of each block that can hold the cell, read off row_profile(orbit) with
     no cell label: the block matching the transpose of one parity half, when each of that
     half's multiplicities is even, takes _profile_fillings of transpose_profile of the other
-    half (Macdonald I.1). c_odd has at most one entry more than the other half's longest row."""
-    if orbit[0] > sys.maxsize:
-        raise SizeBoundError(f"row length {orbit[0]} exceeds sys.maxsize: a count's c_odd list could be that long")
-    halves = ([], []), ([], [])  # (lengths, mults) of the even-length, then the odd-length blocks
+    half (Macdonald I.1), the even half's block first. One pass files the blocks by parity
+    and notes each half's odd multiplicities. c_odd has one entry more than the other half's
+    longest row at most; _profile_fillings refuses one longer than MAX_ROWS."""
+    lengths, mults, odd_mult = ([], []), ([], []), [False, False]  # even-length half, then odd
     for length, m in zip(*row_profile(orbit)):
-        halves[length % 2][0].append(length)
-        halves[length % 2][1].append(m)
-    others = (other for (_, ms), other in zip(halves, halves[::-1]) if not any(m % 2 for m in ms))
-    return tuple(_profile_fillings(*transpose_profile(*other)) for other in others)
+        half = length % 2
+        lengths[half].append(length)
+        mults[half].append(m)
+        if m % 2:
+            odd_mult[half] = True
+    record = ()
+    if not odd_mult[0]:
+        record += (_profile_fillings(*transpose_profile(lengths[1], mults[1])),)
+    if not odd_mult[1]:
+        record += (_profile_fillings(*transpose_profile(lengths[0], mults[0])),)
+    return record
 
 
 # Cached apart from _orbit_record: cell and verify read the labels, and no count does.
 @cache
 def _cell_labels(orbit: Diagram) -> tuple[Diagram, Diagram]:
     """(transpose of the even rows, transpose of the odd rows) of orbit,
-    each with as many rows as its half's longest row, at most sys.maxsize."""
-    if orbit[0] > sys.maxsize:
-        raise SizeBoundError(f"row length {orbit[0]} exceeds sys.maxsize: a cell label would have that many rows")
+    each with as many rows as its half's longest row, at most MAX_ROWS."""
+    if orbit[0] > MAX_ROWS:
+        raise SizeBoundError(f"row length {orbit[0]} exceeds {MAX_ROWS}: a cell label would have that many rows")
     return tuple(map(transpose, even_odd_split(orbit)))
 
 

@@ -10,7 +10,7 @@ from functools import cache
 from itertools import accumulate
 from math import prod
 from operator import sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .diagrams import (
     CosetSignature,
@@ -21,8 +21,10 @@ from .diagrams import (
     row_profile,
 )
 from .errors import (
+    MAX_ROWS,
     DegreeMismatchError,
     ShapeMismatchError,
+    SizeBoundError,
     UnsupportedGroupError,
     whole_numbers,
 )
@@ -187,12 +189,17 @@ def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
     return _profile_fillings(*row_profile(nu))
 
 
-def _profile_fillings(lengths: Iterable[int], mults: Iterable[int]) -> tuple[tuple[int, ...], int]:
+def _profile_fillings(lengths: Sequence[int], mults: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the product
-    of m_b + 1 over the even-length blocks of the label with mults[b] rows of length lengths[b]."""
+    of m_b + 1 over the even-length blocks of the label with mults[b] rows of length lengths[b].
+    c_odd has one entry more than the label has odd rows, at most MAX_ROWS: a longer one is
+    refused before it is built, naming the label's number of rows, which for a cell label is
+    the length of the longest orbit row it transposes."""
     c_odd, even = [1], 1
     for length, m in zip(lengths, mults):
         if length % 2:  # times 1 + x + ... + x^m: each coefficient is a window of m + 1 running totals
+            if len(c_odd) + m > MAX_ROWS:
+                raise SizeBoundError(f"a label of {sum(mults)} rows needs a c_odd list of more than {MAX_ROWS} entries")
             totals = list(accumulate(c_odd + [0] * m, initial=0))
             c_odd = list(map(sub, totals[1:], [0] * m + totals))
         else:

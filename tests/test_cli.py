@@ -92,6 +92,32 @@ def test_a_cell_label_longer_than_maxsize_is_refused(cli_runner, argv):
     assert LONG_ROW in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--group", "su", "--p", "2000000000", "--q", "2000000000", "--orbit", "4000000000"],
+        ["cell", "--group", "u-tilde", "--p", "2000000000", "--q", "2000000000", "--orbit", "4000000000"],
+        ["coh", "--group", "gl-c", "--orbit", LONG_ROW],
+        ["coh", "--group", "su", "--p", "1", "--q", "3999999999", "--orbit", "4000000000"],
+    ],
+    ids=["count-su", "cell-u-tilde", "coh-gl-c", "coh-su"],
+)
+def test_a_list_past_its_size_bound_is_refused(cli_runner, argv):
+    # Each would list billions of entries (a c_odd list, a cell label's rows,
+    # the partitions of n): one error line naming the row or n, no traceback.
+    code, out, err = cli_runner(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[-1] in err
+
+
+@pytest.mark.parametrize("kind", ["su", "u-tilde"])
+def test_long_rows_of_even_multiplicity_count(cli_runner, kind):
+    row = "100000000000000000000000"
+    code, out, err = cli_runner(["count", "--group", kind, "--p", row, "--q", row, "--orbit", f"{row},{row}"])
+    assert (code, out, err) == (0, f"{10**23 + 2}\n", "")
+
+
 def test_enumerate_sl_r_rows(cli_runner):
     code, out, _ = cli_runner(
         ["enumerate", "--group", "sl-r", "--n", "4", "--orbit", "2,2"]

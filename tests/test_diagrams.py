@@ -18,7 +18,7 @@ from unipcount.diagrams import (
     transpose,
     transpose_profile,
 )
-from unipcount.errors import InvalidPartitionError
+from unipcount.errors import MAX_PARTITIONED, InvalidPartitionError, SizeBoundError
 
 diagrams_up_to = lambda n: [d for m in range(n + 1) for d in all_diagrams(m)]
 
@@ -182,6 +182,15 @@ def test_all_diagrams_order_and_count():
     for n in range(0, 10):
         ds = all_diagrams(n)
         assert list(ds) == sorted(ds, reverse=True)
+
+
+@pytest.mark.parametrize("n", [MAX_PARTITIONED + 1, 4 * 10**9, 10**23])
+def test_all_diagrams_refuses_n_past_its_bound(n):
+    # Refused before a partition is listed, naming n; a refusal is not cached.
+    cached = all_diagrams.cache_info().currsize
+    with pytest.raises(SizeBoundError, match=str(n)):
+        all_diagrams(n)
+    assert all_diagrams.cache_info().currsize == cached
 
 
 def test_orbit_text_roundtrip():

@@ -13,7 +13,7 @@ from reference import block_multiplicity, strip_fillings
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
 from unipcount.oracle import lr_coefficient
-from unipcount.symreps import character_table
+from unipcount.symreps import _strip_additions, character_table
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
     coh_gl_complex,
@@ -163,6 +163,53 @@ def test_sign_induction_character_matches_the_induced_matchings_class_by_class()
                 induced = oracle._induce((2 * k, p - k, q - k), [fixed[2 * k], sign[p - k], sign[q - k]])
                 right = list(map(add, right, induced))
             assert left == right, (p, q)
+
+
+def _class_column(cls):
+    """chi^nu(cls) for every label nu where it is not 0, by the
+    Murnaghan-Nakayama rule run forward, one part of cls at a time, through
+    the strip additions character_table is built from: one column of the
+    table without the rest of it."""
+    column = {(): 1}
+    for part in cls:
+        grown = {}
+        for smaller, value in column.items():
+            for larger, sign in _strip_additions(smaller, part):
+                grown[larger] = grown.get(larger, 0) + sign * value
+        column = {nu: v for nu, v in grown.items() if v}
+    return column
+
+
+def test_class_column_matches_the_character_table():
+    for n in range(9):
+        table = character_table(n)
+        for j, cls in enumerate(all_diagrams(n)):
+            assert _class_column(cls) == {nu: row[j] for nu, row in table.items() if row[j]}, cls
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(13, 18).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n), st.sampled_from(all_diagrams(n)))
+    )
+)
+def test_sign_induction_character_matches_the_induced_matchings_past_n_12(query):
+    # The class-by-class identity of the exhaustive test above, at one random
+    # class mu of S_n for 13 <= n = p + q <= 18, where a whole character
+    # table costs seconds.
+    p, n, mu = query
+    q = n - p
+    left = sum(m * value for nu, value in _class_column(mu).items() if (m := sign_induction_multiplicity(nu, p, q)))
+    position = all_diagrams(n).index(mu)
+    right = 0
+    for k in range(min(p, q) + 1):
+        rows = [
+            [_fixed_matchings(cls) for cls in all_diagrams(2 * k)],
+            [(-1) ** (p - k - len(cls)) for cls in all_diagrams(p - k)],
+            [(-1) ** (q - k - len(cls)) for cls in all_diagrams(q - k)],
+        ]
+        right += oracle._induce((2 * k, p - k, q - k), rows)[position]
+    assert left == right, (p, q, mu)
 
 
 # A label's row profile: up to five short blocks, and up to two odd-length

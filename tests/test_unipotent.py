@@ -11,6 +11,7 @@ import reference
 from unipcount import diagrams, oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.errors import (
+    MAX_ROWS,
     DegreeMismatchError,
     InvalidPartitionError,
     SizeBoundError,
@@ -179,6 +180,58 @@ def test_a_cell_label_longer_than_maxsize_is_refused(kind):
     for query in (count_unipotent, cell_rep):
         with pytest.raises(SizeBoundError, match=str(row)):
             query(group, orbit)
+
+
+@pytest.mark.parametrize("kind", ["su", "u-tilde"])
+def test_a_c_odd_list_past_the_row_bound_is_refused_before_it_grows(kind):
+    # The record's c_odd list would have 4 * 10**9 + 1 entries, one per box of
+    # the row and one more: refused naming the row, with nothing allocated per
+    # row. The cell labels would have that many rows.
+    row = 4 * 10**9
+    group, orbit = make_group(kind, p=row // 2, q=row // 2), OrbitSpec((row,))
+    unipotent._orbit_record.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundError, match=str(row)):
+            count_unipotent(group, orbit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(SizeBoundError, match=str(row)):
+        cell_rep(group, orbit)
+
+
+def test_the_row_bound_admits_a_c_odd_list_of_max_rows_entries():
+    # (r,): the transposed half 1^r gives a c_odd list of r + 1 ones.
+    group = lambda r: make_group("su", p=(r + 1) // 2, q=r // 2)
+    unipotent._orbit_record.cache_clear()
+    try:
+        assert count_unipotent(group(MAX_ROWS - 1), OrbitSpec((MAX_ROWS - 1,))) == 1
+        with pytest.raises(SizeBoundError, match=f"label of {MAX_ROWS} rows"):
+            count_unipotent(group(MAX_ROWS), OrbitSpec((MAX_ROWS,)))
+    finally:
+        unipotent._orbit_record.cache_clear()  # drop the 10**6-entry record
+
+
+def test_the_row_bound_on_cell_labels(monkeypatch):
+    monkeypatch.setattr(unipotent, "MAX_ROWS", 100)
+    unipotent._cell_labels.cache_clear()
+    assert cell_rep(make_group("su", p=50, q=50), OrbitSpec((100,))) == ((1,) * 100, ())
+    with pytest.raises(SizeBoundError, match="101"):
+        cell_rep(make_group("su", p=51, q=50), OrbitSpec((101,)))
+
+
+@pytest.mark.parametrize("kind", ["su", "u-tilde"])
+@pytest.mark.parametrize("row", [2, 4, 6, 10**23])
+def test_long_rows_of_even_multiplicity_count(kind, row):
+    # (row, row): each half has only even multiplicities, and both c_odd
+    # lists have one entry, so a row of any length counts: row + 2 at
+    # p = q = row, which the built module confirms for the short rows.
+    group, orbit = make_group(kind, p=row, q=row), OrbitSpec((row, row))
+    assert count_unipotent(group, orbit) == row + 2
+    if row < 10:
+        assert coherent_module(group, orbit).multiplicity(cell_rep(group, orbit)) == row + 2
 
 
 def test_sign_twist_involution_and_fixed_points():
