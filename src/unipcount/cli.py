@@ -181,6 +181,7 @@ def _cmd_chartable(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
+    all_diagrams(args.max_size)  # refuses a size run_checks would refuse, before a table is stored
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:  # store every table run_checks reads
         for n in range(1, min(args.max_size, TABLE_BOUND) + 1):

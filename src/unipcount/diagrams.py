@@ -7,7 +7,7 @@ row lengths, with () the empty diagram.
 """
 
 from functools import cache, lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
 from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -41,16 +41,19 @@ def check_diagram(d: Iterable[int]) -> Diagram:
 @lru_cache(maxsize=1 << 14)
 def _checked(given: tuple) -> Diagram:
     rows = whole_numbers(given, InvalidPartitionError, _NOT_WHOLE)
-    if rows and min(rows) < 1:
-        raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
-    if any(map(lt, rows, rows[1:])):
+    # Weakly decreasing rows are positive when the last one is; min is taken
+    # only on refusal, so a row below 1 is named before the order.
+    if rows and (rows[-1] < 1 or any(map(lt, rows, rows[1:]))):
+        if min(rows) < 1:
+            raise InvalidPartitionError(f"row lengths must be positive integers: {rows}")
         raise InvalidPartitionError(f"row lengths must be weakly decreasing: {rows}")
     return rows
 
 
 def transpose(d: Diagram) -> Diagram:
-    """Column lengths of d, i.e. the reflected diagram."""
-    return tuple(chain.from_iterable(map(repeat, *transpose_profile(*row_profile(d)))))
+    """Column lengths of d, i.e. the reflected diagram: the blocks of
+    transposed_blocks, shortest row first, expanded and then reversed."""
+    return tuple(chain.from_iterable(starmap(repeat, transposed_blocks(*row_profile(d)))))[::-1]
 
 
 @cache
@@ -93,12 +96,12 @@ def row_profile(d: Diagram) -> RowProfile:
     return RowProfile(tuple(lengths), tuple(mults))
 
 
-def transpose_profile(lengths: Sequence[int], mults: Sequence[int]) -> RowProfile:
-    """Row profile of the transpose of the diagram with mults[i] rows of length lengths[i],
-    strictly decreasing (Macdonald I.1): the running totals of mults, longest first, each
-    with the gap from its length to the next shorter one (or to 0) as multiplicity."""
-    shortest_first = lengths[::-1]
-    return RowProfile(tuple(accumulate(mults))[::-1], tuple(map(sub, shortest_first, (0, *shortest_first))))
+def transposed_blocks(lengths: Sequence[int], mults: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(row length, multiplicity) pairs of the transpose of the diagram with mults[i] rows
+    of length lengths[i], lengths strictly decreasing, shortest row first (Macdonald I.1):
+    the running totals of mults, each with the gap from its length to the next shorter
+    one (or to 0) as multiplicity."""
+    return zip(accumulate(mults), map(sub, lengths, (*lengths[1:], 0)))
 
 
 def even_odd_split(d: Diagram) -> tuple[Diagram, Diagram]:

@@ -259,8 +259,11 @@ def run_checks(max_size: int = 8) -> list[dict]:
     check, instance, expected, actual, pass. Instances aggregate the inner
     loops of a sweep; a failing instance reports how many mismatches it
     found and the first. Each check's sizes are written once below, capped
-    by max_size and by the check's own bound.
+    by max_size and by the check's own bound. A max_size past the bound of
+    all_diagrams is refused before the first sweep: split-union-roundtrip
+    would reach it last.
     """
+    all_diagrams(max_size)  # split-union-roundtrip lists these anyway
     report: list[dict] = []
 
     def entry(check: str, instance: str, expected, actual) -> None:

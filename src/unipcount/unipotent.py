@@ -10,7 +10,7 @@ from math import prod
 from operator import getitem
 from typing import Iterator, NamedTuple
 
-from .diagrams import Diagram, check_diagram, coset_signature, even_odd_split, row_profile, transpose, transpose_profile
+from .diagrams import Diagram, check_diagram, coset_signature, even_odd_split, row_profile, transpose, transposed_blocks
 from .errors import MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
@@ -152,10 +152,12 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
 def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(c_odd, even) of each block that can hold the cell, read off row_profile(orbit) with
     no cell label: the block matching the transpose of one parity half, when each of that
-    half's multiplicities is even, takes _profile_fillings of transpose_profile of the other
+    half's multiplicities is even, takes _profile_fillings of transposed_blocks of the other
     half (Macdonald I.1), the even half's block first. One pass files the blocks by parity
-    and notes each half's odd multiplicities. c_odd has one entry more than the other half's
-    longest row at most; _profile_fillings refuses one longer than MAX_ROWS."""
+    and notes each half's odd multiplicities; the pairs go to _profile_fillings as they are
+    made, shortest transposed row first, since its products do not depend on the order.
+    c_odd has one entry more than the other half's longest row at most; _profile_fillings
+    refuses one longer than MAX_ROWS."""
     lengths, mults, odd_mult = ([], []), ([], []), [False, False]  # even-length half, then odd
     for length, m in zip(*row_profile(orbit)):
         half = length % 2
@@ -165,9 +167,9 @@ def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
             odd_mult[half] = True
     record = ()
     if not odd_mult[0]:
-        record += (_profile_fillings(*transpose_profile(lengths[1], mults[1])),)
+        record += (_profile_fillings(transposed_blocks(lengths[1], mults[1])),)
     if not odd_mult[1]:
-        record += (_profile_fillings(*transpose_profile(lengths[0], mults[0])),)
+        record += (_profile_fillings(transposed_blocks(lengths[0], mults[0])),)
     return record
 
 
@@ -255,17 +257,18 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     size r, has all rows even, and then as often as
     sign_induction_multiplicity holds the other label at (p - r/2, q - r/2):
     c_odd[i] * even, where (c_odd, even) = _profile_fillings of the other
-    label's row profile and i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out
+    label's blocks and i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out
     of range. The summand needs min(p, q) >= r/2, and the range of i already
     ensures it: the other label has size p + q - r and len(c_odd) - 1 odd
     rows, so a block with min(p, q) < r/2 has |p - q| > p + q - r >=
     len(c_odd) - 1, which puts i outside 0 <= i < len(c_odd). By Macdonald
     I.1 the rows of a (of b) are running totals of the multiplicities of the
     even (odd) row lengths, so a has all rows even exactly when each of
-    those multiplicities is, and a label's row profile is transpose_profile
-    of its half of row_profile(orbit). One cached record per orbit diagram
-    keeps (c_odd, even) for each block that can hold the cell, so a count at
-    any (p, q) sums at most two products and builds no label.
+    those multiplicities is, and a label's (row length, multiplicity) pairs
+    are transposed_blocks of its half of row_profile(orbit). One cached
+    record per orbit diagram keeps (c_odd, even) for each block that can
+    hold the cell, so a count at any (p, q) sums at most two products over
+    those pairs, taken in the order they come, and builds no label.
     The diagonal summands of SU never contain the cell, so SU and the double
     cover share this formula. Proof: the largest part of transpose(d) is
     the number of rows of d, and it occurs as many times as the smallest row

@@ -10,7 +10,7 @@ from functools import cache
 from itertools import accumulate
 from math import prod
 from operator import sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .diagrams import (
     CosetSignature,
@@ -186,24 +186,28 @@ def sign_induction_module(p: int, q: int) -> ModuleDecomp:
 @cache
 def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
     """_profile_fillings of nu's row profile, once per label."""
-    return _profile_fillings(*row_profile(nu))
+    return _profile_fillings(zip(*row_profile(nu)))
 
 
-def _profile_fillings(lengths: Sequence[int], mults: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the product
-    of m_b + 1 over the even-length blocks of the label with mults[b] rows of length lengths[b].
+def _profile_fillings(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the product of
+    m_b + 1 over the even-length blocks of the label whose blocks of m_b rows of one length
+    are the (length, m_b) pairs of blocks, in any order: both are products over the blocks.
     c_odd has one entry more than the label has odd rows, at most MAX_ROWS: a longer one is
     refused before it is built, naming the label's number of rows, which for a cell label is
     the length of the longest orbit row it transposes."""
-    c_odd, even = [1], 1
-    for length, m in zip(lengths, mults):
+    blocks = iter(blocks)  # a refusal reads the rest
+    c_odd, even, even_rows = [1], 1, 0
+    for length, m in blocks:
         if length % 2:  # times 1 + x + ... + x^m: each coefficient is a window of m + 1 running totals
             if len(c_odd) + m > MAX_ROWS:
-                raise SizeBoundError(f"a label of {sum(mults)} rows needs a c_odd list of more than {MAX_ROWS} entries")
+                rows = even_rows + len(c_odd) - 1 + m + sum(k for _, k in blocks)
+                raise SizeBoundError(f"a label of {rows} rows needs a c_odd list of more than {MAX_ROWS} entries")
             totals = list(accumulate(c_odd + [0] * m, initial=0))
             c_odd = list(map(sub, totals[1:], [0] * m + totals))
         else:
             even *= m + 1
+            even_rows += m
     return tuple(c_odd), even
 
 

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from hashlib import sha256
@@ -17,6 +18,7 @@ import reference
 from conftest import run_cli
 from unipcount import cli
 from unipcount.diagrams import all_diagrams, diagram_text, format_diagram
+from unipcount.errors import MAX_PARTITIONED
 from unipcount.unipotent import (
     COMPLEX_KINDS,
     HERMITIAN_KINDS,
@@ -528,6 +530,23 @@ def test_verify_caches_every_table_it_reads(cli_runner, tmp_path, max_size, degr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"chartable_{n}.json" for n in degrees
     )
+
+
+@pytest.mark.parametrize("max_size", [51, 60])
+def test_verify_past_the_partition_bound_is_refused_at_once(child_env, tmp_path, max_size):
+    # Unchecked, every sweep would run through n = 50 before all_diagrams
+    # refused the size (12.6 s at 51 on a 2-vCPU host): refused first, with
+    # no table stored.
+    argv = ["verify", "--max-size", str(max_size), "--cache-dir", str(tmp_path)]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "unipcount.cli", *argv], capture_output=True, text=True, env=child_env, timeout=60
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot list the partitions of {max_size}: the bound is n <= {MAX_PARTITIONED}\n"
+    assert elapsed < 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 from operator import lt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -16,7 +16,7 @@ from unipcount.diagrams import (
     row_profile,
     row_union,
     transpose,
-    transpose_profile,
+    transposed_blocks,
 )
 from unipcount.errors import MAX_PARTITIONED, InvalidPartitionError, SizeBoundError
 
@@ -92,19 +92,21 @@ def test_transpose_matches_the_reference_with_a_long_row_and_column(parts, row, 
     assert transpose(transpose(d)) == d
 
 
-def test_transpose_profile_matches_the_column_count_reference_through_n_16():
-    # Macdonald I.1 on the row profile, against the transpose counted column
-    # by column and then profiled.
+def test_transposed_blocks_match_the_column_count_reference_through_n_16():
+    # Macdonald I.1 on the row profile, shortest row first, against the
+    # transpose counted column by column and then profiled.
     for d in diagrams_up_to(16):
-        assert transpose_profile(*row_profile(d)) == row_profile(reference.transpose(d)), d
+        blocks = list(transposed_blocks(*row_profile(d)))
+        assert blocks[::-1] == list(zip(*row_profile(reference.transpose(d)))), d
 
 
 # Up to eight distinct row lengths up to 10**4, each up to five times.
 @settings(max_examples=40)
 @given(st.dictionaries(st.integers(1, 10**4), st.integers(1, 5), max_size=8))
-def test_transpose_profile_matches_the_reference_with_rows_up_to_10_000(blocks):
+def test_transposed_blocks_match_the_reference_with_rows_up_to_10_000(blocks):
     d = tuple(length for length in sorted(blocks, reverse=True) for _ in range(blocks[length]))
-    assert transpose_profile(*row_profile(d)) == row_profile(reference.transpose(d))
+    pairs = list(transposed_blocks(*row_profile(d)))
+    assert pairs[::-1] == list(zip(*row_profile(reference.transpose(d))))
 
 
 @pytest.mark.parametrize(
@@ -272,6 +274,10 @@ sequences = st.lists(st.lists(rows, max_size=4).map(tuple), min_size=1, max_size
 )
 
 
+# A row below 1 is named before the order, also when both are wrong.
+@example([(0, 1)])
+@example([(1, 0, 2)])
+@example([(3, -1, 4)])
 @given(sequences)
 def test_cached_check_matches_the_uncached_reference_in_any_order(sequence):
     diagrams._checked.cache_clear()

@@ -3,15 +3,18 @@ multiplicity for su and u-tilde, and the closed form for gl-c and sl-c."""
 
 from collections import Counter
 from functools import cache
+from itertools import permutations
 from math import comb, prod
 from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import block_multiplicity, strip_fillings
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
+from unipcount.errors import SizeBoundError
 from unipcount.oracle import lr_coefficient
 from unipcount.symreps import _strip_additions, character_table
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
@@ -226,6 +229,32 @@ def test_strip_fillings_match_the_slice_sum_reference(profile):
     blocks = {**profile[0], **profile[1]}
     nu = tuple(length for length in sorted(blocks, reverse=True) for _ in range(blocks[length]))
     assert weylmodules._strip_fillings(nu) == strip_fillings(nu)
+
+
+# A label's blocks in some order: up to eight distinct lengths up to 20, each
+# up to six times.
+shuffled_blocks = st.dictionaries(st.integers(1, 20), st.integers(1, 6), max_size=8).flatmap(
+    lambda blocks: st.permutations(list(blocks.items()))
+)
+
+
+@given(shuffled_blocks)
+def test_profile_fillings_do_not_depend_on_the_order_of_the_blocks(blocks):
+    # Both products run over the blocks, so any order gives the fillings of
+    # the label's row profile, longest row first.
+    in_order = sorted(blocks, reverse=True)
+    assert weylmodules._profile_fillings(blocks) == weylmodules._profile_fillings(in_order)
+    assert weylmodules._profile_fillings(iter(blocks)) == strip_fillings(
+        tuple(length for length, m in in_order for _ in range(m))
+    )
+
+
+@pytest.mark.parametrize("order", list(permutations([(2, 3), (1, 5), (3, 4)])))
+def test_the_c_odd_refusal_names_every_row_of_the_label_in_any_order(monkeypatch, order):
+    # Nine odd rows need a c_odd list of ten entries; the label has 12 rows.
+    monkeypatch.setattr(weylmodules, "MAX_ROWS", 9)
+    with pytest.raises(SizeBoundError, match="label of 12 rows"):
+        weylmodules._profile_fillings(order)
 
 
 def test_hermitian_direct_count_matches_module_multiplicity():

@@ -11,7 +11,7 @@ import pytest
 from reference import chi, irreducible_character
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, row_profile
-from unipcount.errors import DegreeMismatchError, OracleBoundError
+from unipcount.errors import DegreeMismatchError, OracleBoundError, SizeBoundError
 from unipcount.oracle import (
     all_matchings,
     class_representative,
@@ -423,6 +423,22 @@ def test_run_checks_reads_no_table_above_its_bound(monkeypatch):
     monkeypatch.setattr(oracle, "character_table", recorded)
     run_checks(13)
     assert degrees == set(range(oracle.TABLE_BOUND + 1))
+
+
+def test_run_checks_refuses_a_size_past_the_partition_bound_before_its_first_sweep(monkeypatch):
+    # transpose-involution, the first sweep, would check every diagram up to
+    # n = 12 before split-union-roundtrip reached n = 51.
+    calls = Counter()
+    transpose = oracle.transpose
+
+    def counted(d):
+        calls[d] += 1
+        return transpose(d)
+
+    monkeypatch.setattr(oracle, "transpose", counted)
+    with pytest.raises(SizeBoundError, match="partitions of 51"):
+        run_checks(51)
+    assert not calls
 
 
 def test_counting_equality_builds_each_su_module_once(monkeypatch):
