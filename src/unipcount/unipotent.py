@@ -4,7 +4,7 @@ based counts of special unipotent representations for all supported kinds.
 """
 
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, product, repeat, takewhile
 from math import prod
 from operator import getitem
@@ -69,7 +69,21 @@ def make_group(
     compact signatures are allowed); the other kinds take n, with n >= 2 for
     the special linear kinds and even n for the quaternionic ones. An
     unknown kind, or an n, p or q that is not a whole number, is refused.
+    A process checks each distinct (kind, n, p, q) once, up to a bounded
+    cache, and hands back the same spec for it after that.
     """
+    try:
+        return _checked_group(kind, n, p, q)
+    except TypeError:  # an unhashable argument: checked, and refused, uncached
+        return _checked_group.__wrapped__(kind, n, p, q)
+
+
+# Bounded so that a long-lived process fed ever new inputs stays small. As
+# with diagrams._checked, a hit is exact: equal inputs that hash alike (2.0
+# and 2, True and 1, "su" and GroupKind.SU) get the same all-int spec. A
+# refused input raises and is not cached.
+@lru_cache(maxsize=1 << 14)
+def _checked_group(kind, n, p, q) -> GroupSpec:
     try:
         kind, minimum = _KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -77,9 +91,7 @@ def make_group(
     if kind in HERMITIAN_KINDS:
         if p is None or q is None:
             raise UnsupportedGroupError(f"kind {kind.value} requires p and q")
-        # Only a value that is not an int pays for whole_numbers.
-        if type(p) is not int or type(q) is not int:
-            p, q = whole_numbers((p, q), UnsupportedGroupError, f"kind {kind.value} takes whole p, q")
+        p, q = whole_numbers((p, q), UnsupportedGroupError, f"kind {kind.value} takes whole p, q")
         if p < 0 or q < 0 or p + q < 1:
             raise UnsupportedGroupError(
                 f"kind {kind.value} requires p, q >= 0 with p + q >= 1, got ({p}, {q})"
@@ -91,8 +103,7 @@ def make_group(
         raise UnsupportedGroupError(f"kind {kind.value} does not take p and q")
     if n is None:
         raise UnsupportedGroupError(f"kind {kind.value} requires n")
-    if type(n) is not int:
-        (n,) = whole_numbers((n,), UnsupportedGroupError, f"kind {kind.value} takes a whole n")
+    (n,) = whole_numbers((n,), UnsupportedGroupError, f"kind {kind.value} takes a whole n")
     if n < minimum:
         raise UnsupportedGroupError(f"kind {kind.value} requires n >= {minimum}, got {n}")
     if kind in QUATERNIONIC_KINDS and n % 2:
@@ -108,15 +119,24 @@ class _Orbit(NamedTuple):
 class OrbitSpec(_Orbit):
     """A nilpotent orbit input: one diagram, or an ordered pair of diagrams
     for the complex kinds. Each diagram is checked on construction
-    (weakly decreasing, positive rows)."""
+    (weakly decreasing, positive rows). A process checks each distinct
+    (first, second) once, up to a bounded cache, as make_group does."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds with it
 
     # A NamedTuple body may not define __new__, hence the _Orbit base.
     def __new__(cls, first: Diagram, second: Diagram | None = None) -> "OrbitSpec":
-        first = check_diagram(first)
-        return tuple.__new__(cls, (first, None if second is None else check_diagram(second)))
+        try:
+            return _checked_orbit(first, second)
+        except TypeError:  # an unhashable diagram: checked, and refused, uncached
+            return _checked_orbit.__wrapped__(first, second)
+
+
+# Bounded and exact on a hit, as _checked_group is.
+@lru_cache(maxsize=1 << 14)
+def _checked_orbit(first, second) -> OrbitSpec:
+    return tuple.__new__(OrbitSpec, (check_diagram(first), None if second is None else check_diagram(second)))
 
 
 def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: str) -> GroupKind:

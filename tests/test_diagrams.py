@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import chain
 from operator import lt
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from unipcount import diagrams
+from unipcount import diagrams, unipotent
 from unipcount.diagrams import (
     all_diagrams,
     check_diagram,
@@ -18,7 +20,15 @@ from unipcount.diagrams import (
     transpose,
     transposed_blocks,
 )
-from unipcount.errors import MAX_PARTITIONED, InvalidPartitionError, SizeBoundError
+from unipcount.errors import (
+    MAX_PARTITIONED,
+    DegreeMismatchError,
+    EngineError,
+    InvalidPartitionError,
+    SizeBoundError,
+    UnsupportedGroupError,
+)
+from unipcount.unipotent import GroupKind, OrbitSpec, make_group
 
 diagrams_up_to = lambda n: [d for m in range(n + 1) for d in all_diagrams(m)]
 
@@ -177,6 +187,11 @@ def test_coset_signature_examples(d, expected):
     assert coset_signature(d) == expected
 
 
+def test_coset_signature_is_the_sums_of_the_parity_split():
+    for d in [*diagrams_up_to(16), (10**23, 10**23, 1)]:
+        assert coset_signature(d) == tuple(map(sum, even_odd_split(d))), d
+
+
 def test_all_diagrams_order_and_count():
     assert all_diagrams(3) == ((3,), (2, 1), (1, 1, 1))
     assert all_diagrams(0) == ((),)
@@ -302,3 +317,90 @@ def test_failed_checks_are_not_cached_and_the_cache_is_bounded():
             check_diagram(d)
     assert diagrams._checked.cache_info().currsize == 0
     assert diagrams._checked.cache_info().maxsize == 1 << 14
+
+
+# make_group and OrbitSpec check each distinct input once, behind a memo like
+# _checked: a hit must give what the uncached check gives that input.
+MEMOS = {make_group: unipotent._checked_group, OrbitSpec: unipotent._checked_orbit}
+fields = st.one_of(
+    st.none(),
+    st.integers(-1, 4),
+    st.integers(-1, 4).map(float),
+    st.booleans(),
+    st.sampled_from([Fraction(2), 0.5, "2"]),
+)
+group_args = st.tuples(
+    st.sampled_from(["su", "u-tilde", "gl-r", "sl-h", "xx", GroupKind.SU, GroupKind.GL_R]),
+    fields,
+    fields,
+    fields,
+)
+orbit_rows = st.lists(st.one_of(rows, st.just(Fraction(2))), max_size=4).map(tuple)
+orbit_args = st.tuples(orbit_rows, st.one_of(st.none(), orbit_rows))
+pooled = lambda args: st.lists(args, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=16)
+)
+
+
+def _spec_outcome(build, args):
+    got = _outcome(lambda a: build(*a), args)
+    if got[0] == "ok":
+        spec = got[1]
+        if isinstance(spec, OrbitSpec):
+            whole = chain(spec.first, spec.second or ())
+        else:
+            assert type(spec.kind) is GroupKind
+            whole = (x for x in spec[1:] if x is not None)
+        assert all(type(x) is int for x in whole), args
+    return got
+
+
+# Equal inputs that hash alike share an entry, whichever comes first.
+@example(
+    [("su", None, 2.0, 1), (GroupKind.SU, 3, Fraction(2), True), ("su", None, 2, 1.0)],
+    [((2.0, True), None), ((Fraction(2), 1), (1.0, 1.0)), ((2, 1), (True, 1))],
+)
+@example([("gl-r", 4.0, None, None), (GroupKind.GL_R, 4, None, None)], [((2, 1), (2.5,))])
+@given(pooled(group_args), pooled(orbit_args))
+def test_memoized_specs_match_the_uncached_check_in_any_order(groups, orbits):
+    for build, sequence in [(make_group, groups), (OrbitSpec, orbits)]:
+        memo = MEMOS[build]
+        memo.cache_clear()
+        for args in sequence:
+            assert _spec_outcome(build, args) == _spec_outcome(memo.__wrapped__, args), args
+
+
+def test_unhashable_inputs_are_checked_uncached():
+    for memo in MEMOS.values():
+        memo.cache_clear()
+    for build, args, error, message in [
+        (OrbitSpec, ([1, 2],), InvalidPartitionError, "row lengths must be weakly decreasing: (1, 2)"),
+        (OrbitSpec, ([2, [1]],), InvalidPartitionError, "row lengths must be whole numbers, got [1]"),
+        (OrbitSpec, ((2, 1), [1, 2]), InvalidPartitionError, "row lengths must be weakly decreasing: (1, 2)"),
+        (make_group, ("su", None, [1], 1), UnsupportedGroupError, "kind su takes whole p, q, got [1]"),
+        (make_group, ("gl-r", [3]), UnsupportedGroupError, "kind gl-r takes a whole n, got [3]"),
+        (make_group, (["su"], 3), UnsupportedGroupError, "unknown group kind ['su']"),
+        (make_group, ("su", [2], 1, 1), DegreeMismatchError, "n = [2] does not match p + q = 2"),
+    ]:
+        with pytest.raises(error) as caught:
+            build(*args)
+        assert str(caught.value) == message
+    # Lists of whole rows are taken as a fresh check takes them.
+    spec = OrbitSpec([2.0, 1], [True])
+    assert spec == ((2, 1), (1,)) and all(type(x) is int for x in spec.first + spec.second)
+    assert [memo.cache_info().currsize for memo in MEMOS.values()] == [0, 0]
+
+
+def test_refused_specs_are_not_cached_and_the_memos_are_bounded():
+    make_group("su", p=1, q=1)
+    OrbitSpec((1, 1))
+    sizes = {build: memo.cache_info().currsize for build, memo in MEMOS.items()}
+    for args in [("xx", 2), ("su", None, 0, 0), ("su", None, 2.5, 1), ("gl-r", 3, 1), ("sl-h", 3), ("su", 3, 1, 1)]:
+        with pytest.raises(EngineError):
+            make_group(*args)
+    for args in [((1, 2),), ((2, 1), (0,)), (("2",),), ((2.5,), None)]:
+        with pytest.raises(InvalidPartitionError):
+            OrbitSpec(*args)
+    for build, memo in MEMOS.items():
+        assert memo.cache_info().currsize == sizes[build] > 0
+        assert memo.cache_info().maxsize == 1 << 14

@@ -470,16 +470,22 @@ def _cleared_engine_caches():
 
 def test_sweep_fills_one_record_per_orbit():
     # A cold su and u-tilde sweep at n = 12 fills one record per orbit, p(12)
-    # = 77, and no other cache: none keyed by (p, q), and neither the cell
-    # labels nor _strip_fillings, keyed by a cell label.
+    # = 77, and no other cache but the two input checks: one spec per orbit
+    # and one per group, 13 signatures of 2 kinds. None is keyed by a count's
+    # (p, q), and neither the cell labels nor _strip_fillings, keyed by a cell
+    # label, are filled.
     caches = _cleared_engine_caches()
     for orbit in map(OrbitSpec, all_diagrams(12)):
         for p in range(13):
             for kind in ("su", "u-tilde"):
                 count_unipotent(make_group(kind, p=p, q=12 - p), orbit)
     filled = {name: fn.cache_info().currsize for name, fn in caches.items()}
-    assert {name for name, size in filled.items() if size} == {"_orbit_record"}
-    assert filled["_orbit_record"] == len(all_diagrams(12)) == 77
+    assert {name: size for name, size in filled.items() if size} == {
+        "_orbit_record": 77,
+        "_checked_orbit": 77,
+        "_checked_group": 26,
+    }
+    assert len(all_diagrams(12)) == 77
 
 
 def test_real_and_complex_count_records_fill_no_cache():
@@ -493,7 +499,11 @@ def test_real_and_complex_count_records_fill_no_cache():
         for kind in ("gl-c", "sl-c"):
             count_record(make_group(kind, n=12), OrbitSpec(orbit, orbit))
     filled = {name: fn.cache_info().currsize for name, fn in caches.items()}
-    assert {name for name, size in filled.items() if size} == set()
+    # Only the input checks fill: 4 groups, and 77 single and 77 pair orbits.
+    assert {name: size for name, size in filled.items() if size} == {
+        "_checked_orbit": 154,
+        "_checked_group": 4,
+    }
 
 
 @pytest.mark.parametrize("kind", ["gl-r", "sl-r"])
