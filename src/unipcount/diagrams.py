@@ -1,6 +1,6 @@
 """Partitions viewed as Young diagrams, and the orbit-level combinatorics
-built on them: transpose, row profiles, parity splits, and the coset
-signature attached to a nilpotent orbit.
+built on them: transpose, row profiles and their one-pass parity halves,
+and the coset signature attached to a nilpotent orbit.
 
 All values are immutable; a diagram is a weakly decreasing tuple of positive
 row lengths, with () the empty diagram.
@@ -51,9 +51,8 @@ def _checked(given: tuple) -> Diagram:
 
 
 def transpose(d: Diagram) -> Diagram:
-    """Column lengths of d, i.e. the reflected diagram: the blocks of
-    transposed_blocks, shortest row first, expanded and then reversed."""
-    return tuple(chain.from_iterable(starmap(repeat, transposed_blocks(*row_profile(d)))))[::-1]
+    """Column lengths of d, i.e. the reflected diagram."""
+    return transposed_rows(*row_profile(d))
 
 
 @cache
@@ -104,16 +103,24 @@ def transposed_blocks(lengths: Sequence[int], mults: Sequence[int]) -> Iterator[
     return zip(accumulate(mults), map(sub, lengths, (*lengths[1:], 0)))
 
 
-def even_odd_split(d: Diagram) -> tuple[Diagram, Diagram]:
-    """Split d into its even-length rows and its odd-length rows."""
-    even = tuple(p for p in d if p % 2 == 0)
-    odd = tuple(p for p in d if p % 2 == 1)
-    return even, odd
+def transposed_rows(lengths: Sequence[int], mults: Sequence[int]) -> Diagram:
+    """The transpose of the diagram with mults[i] rows of length lengths[i]: the blocks
+    of transposed_blocks, shortest row first, expanded and then reversed."""
+    return tuple(chain.from_iterable(starmap(repeat, transposed_blocks(lengths, mults))))[::-1]
 
 
-def row_union(i: Diagram, j: Diagram) -> Diagram:
-    """Diagram whose row multiset is the union of the rows of i and j."""
-    return tuple(sorted(i + j, reverse=True))
+def parity_halves(d: Diagram) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]], list[bool]]:
+    """row_profile(d) filed by parity in one pass: (lengths, mults, odd_mult), each indexed
+    by row parity i (0 even, 1 odd), where lengths[i] and mults[i] profile the rows of
+    parity i and odd_mult[i] is whether one of those multiplicities is odd."""
+    lengths, mults, odd_mult = ([], []), ([], []), [False, False]
+    for length, m in zip(*row_profile(d)):
+        half = length % 2
+        lengths[half].append(length)
+        mults[half].append(m)
+        if m % 2:
+            odd_mult[half] = True
+    return lengths, mults, odd_mult
 
 
 class CosetSignature(NamedTuple):
@@ -125,8 +132,8 @@ class CosetSignature(NamedTuple):
 
 
 def coset_signature(d: Diagram) -> CosetSignature:
-    """(total size of the even rows, total size of the odd rows), the sums of
-    even_odd_split(d) read in one pass over d with no split built."""
+    """(total size of the even rows, total size of the odd rows), read in one
+    pass over d with nothing filed."""
     n_h = sum(x for x in d if not x % 2)
     return CosetSignature(n_h, sum(d) - n_h)
 

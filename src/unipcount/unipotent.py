@@ -4,13 +4,13 @@ based counts of special unipotent representations for all supported kinds.
 """
 
 from enum import Enum
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, product, repeat, takewhile
 from math import prod
 from operator import getitem
 from typing import Iterator, NamedTuple
 
-from .diagrams import Diagram, check_diagram, coset_signature, even_odd_split, row_profile, transpose, transposed_blocks
+from .diagrams import Diagram, check_diagram, coset_signature, parity_halves, row_profile, transposed_blocks, transposed_rows
 from .errors import MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
@@ -120,17 +120,21 @@ class OrbitSpec(_Orbit):
     """A nilpotent orbit input: one diagram, or an ordered pair of diagrams
     for the complex kinds. Each diagram is checked on construction
     (weakly decreasing, positive rows). A process checks each distinct
-    (first, second) once, up to a bounded cache, as make_group does."""
+    (first, second) of tuples once, up to a bounded cache, as make_group
+    does, and any other sequence at each call."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds with it
 
     # A NamedTuple body may not define __new__, hence the _Orbit base.
     def __new__(cls, first: Diagram, second: Diagram | None = None) -> "OrbitSpec":
-        try:
-            return _checked_orbit(first, second)
-        except TypeError:  # an unhashable diagram: checked, and refused, uncached
-            return _checked_orbit.__wrapped__(first, second)
+        # Only tuples are keys: a check consumes an iterator, which no later call hits.
+        if type(first) is tuple and (second is None or type(second) is tuple):
+            try:
+                return _checked_orbit(first, second)
+            except TypeError:  # an unhashable row: checked, and refused, uncached
+                pass
+        return _checked_orbit.__wrapped__(first, second)
 
 
 # Bounded and exact on a hit, as _checked_group is.
@@ -167,24 +171,17 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
     return kind
 
 
-# Cached: a sweep counts each orbit at every (p, q).
-@cache
+# A sweep counts each orbit at every (p, q); bounded, as a c_odd list may hold MAX_ROWS.
+@lru_cache(maxsize=1 << 14)
 def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(c_odd, even) of each block that can hold the cell, read off row_profile(orbit) with
-    no cell label: the block matching the transpose of one parity half, when each of that
-    half's multiplicities is even, takes _profile_fillings of transposed_blocks of the other
-    half (Macdonald I.1), the even half's block first. One pass files the blocks by parity
-    and notes each half's odd multiplicities; the pairs go to _profile_fillings as they are
-    made, shortest transposed row first, since its products do not depend on the order.
-    c_odd has one entry more than the other half's longest row at most; _profile_fillings
-    refuses one longer than MAX_ROWS."""
-    lengths, mults, odd_mult = ([], []), ([], []), [False, False]  # even-length half, then odd
-    for length, m in zip(*row_profile(orbit)):
-        half = length % 2
-        lengths[half].append(length)
-        mults[half].append(m)
-        if m % 2:
-            odd_mult[half] = True
+    """(c_odd, even) of each block that can hold the cell, read off parity_halves(orbit)
+    with no cell label: the block matching the transpose of one parity half, when each of
+    that half's multiplicities is even, takes _profile_fillings of transposed_blocks of the
+    other half (Macdonald I.1), the even half's block first. The pairs go to
+    _profile_fillings as they are made, shortest transposed row first, since its products
+    do not depend on the order. c_odd has one entry more than the other half's longest row
+    at most; _profile_fillings refuses one longer than MAX_ROWS."""
+    lengths, mults, odd_mult = parity_halves(orbit)
     record = ()
     if not odd_mult[0]:
         record += (_profile_fillings(transposed_blocks(lengths[1], mults[1])),)
@@ -193,25 +190,16 @@ def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
     return record
 
 
-# Cached apart from _orbit_record: cell and verify read the labels, and no count does.
-@cache
-def _cell_labels(orbit: Diagram) -> tuple[Diagram, Diagram]:
-    """(transpose of the even rows, transpose of the odd rows) of orbit,
-    each with as many rows as its half's longest row, at most MAX_ROWS."""
-    if orbit[0] > MAX_ROWS:
-        raise SizeBoundError(f"row length {orbit[0]} exceeds {MAX_ROWS}: a cell label would have that many rows")
-    return tuple(map(transpose, even_odd_split(orbit)))
-
-
 def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
-    """Label tuple of the cell attached to the orbit.
-
-    Hermitian kinds give (transpose of even rows, transpose of odd rows);
-    the complex kinds double that tuple, built from the first pair component.
-    The labels are cached per orbit diagram, apart from count_unipotent's record.
-    """
+    """Label tuple of the cell attached to the orbit: for the hermitian kinds
+    (transpose of the even rows, transpose of the odd rows), each expanded from
+    its half of parity_halves, and refused past MAX_ROWS rows; the complex kinds
+    double that tuple, built from the first pair component. Nothing is cached."""
     kind = _check_query(group, orbit, _CELL_KINDS, "no cell label for kind {}")
-    pair = _cell_labels(orbit.first)
+    d = orbit.first
+    if d[0] > MAX_ROWS:
+        raise SizeBoundError(f"row length {d[0]} exceeds {MAX_ROWS}: a cell label would have that many rows")
+    pair = tuple(map(transposed_rows, *parity_halves(d)[:2]))
     return pair + pair if kind in COMPLEX_KINDS else pair
 
 
@@ -285,7 +273,7 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     I.1 the rows of a (of b) are running totals of the multiplicities of the
     even (odd) row lengths, so a has all rows even exactly when each of
     those multiplicities is, and a label's (row length, multiplicity) pairs
-    are transposed_blocks of its half of row_profile(orbit). One cached
+    are transposed_blocks of its half of parity_halves(orbit). One cached
     record per orbit diagram keeps (c_odd, even) for each block that can
     hold the cell, so a count at any (p, q) sums at most two products over
     those pairs, taken in the order they come, and builds no label.

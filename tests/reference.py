@@ -3,7 +3,7 @@
 from functools import cache
 from math import prod
 
-from unipcount.diagrams import all_diagrams, even_odd_split, row_profile
+from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.symreps import ClassFunction, character_table
 from unipcount.weylmodules import _block_signature, sign_induction_multiplicity
 
@@ -35,6 +35,29 @@ def block_multiplicity(p, q, r, matched, other):
     if rest is None or any(row % 2 for row in matched):
         return 0
     return sign_induction_multiplicity(other, *rest)
+
+
+# Reference: the parity split as the engine made it before parity_halves
+# filed the row profile: the even-length rows and the odd-length rows of d.
+def even_odd_split(d):
+    return tuple(p for p in d if p % 2 == 0), tuple(p for p in d if p % 2 == 1)
+
+
+# Reference: the diagram whose rows are those of i and of j together.
+def row_union(i, j):
+    return tuple(sorted(i + j, reverse=True))
+
+
+# Reference: parity_halves read off the split: the lengths and the mults of
+# each half's row profile, as lists, and whether each half has a row length
+# of odd multiplicity.
+def parity_halves(d):
+    profiles = tuple(map(row_profile, even_odd_split(d)))
+    return (
+        tuple(list(profile.lengths) for profile in profiles),
+        tuple(list(profile.mults) for profile in profiles),
+        [any(m % 2 for m in profile.mults) for profile in profiles],
+    )
 
 
 # Reference: transpose as it was defined before it read the row profile,

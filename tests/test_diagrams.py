@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import lt
 
 import pytest
@@ -12,13 +12,13 @@ from unipcount.diagrams import (
     all_diagrams,
     check_diagram,
     coset_signature,
-    even_odd_split,
     format_diagram,
+    parity_halves,
     parse_orbit,
     row_profile,
-    row_union,
     transpose,
     transposed_blocks,
+    transposed_rows,
 )
 from unipcount.errors import (
     MAX_PARTITIONED,
@@ -130,44 +130,34 @@ def test_row_profile_examples(d, lengths, mults):
 
 
 @pytest.mark.parametrize(
-    "d,even,odd",
+    "d,lengths,mults,odd_mult",
     [
-        ((4, 3, 2, 1), (4, 2), (3, 1)),
-        ((2, 2), (2, 2), ()),
-        ((1, 1, 1), (), (1, 1, 1)),
+        ((4, 3, 2, 1), ([4, 2], [3, 1]), ([1, 1], [1, 1]), [True, True]),
+        ((2, 2), ([2], []), ([2], []), [False, False]),
+        ((1, 1, 1), ([], [1]), ([], [3]), [False, True]),
+        ((5, 5, 4, 1, 1), ([4], [5, 1]), ([1], [2, 2]), [True, False]),
+        ((), ([], []), ([], []), [False, False]),
     ],
 )
-def test_even_odd_split_examples(d, even, odd):
-    assert even_odd_split(d) == (even, odd)
+def test_parity_halves_examples(d, lengths, mults, odd_mult):
+    assert parity_halves(d) == (lengths, mults, odd_mult)
 
 
-def test_split_union_roundtrip_exhaustive():
-    for d in diagrams_up_to(12):
-        even, odd = even_odd_split(d)
-        assert all(p % 2 == 0 for p in even)
-        assert all(p % 2 == 1 for p in odd)
-        assert row_union(even, odd) == d
+def test_parity_halves_match_the_reference_split_through_n_22():
+    # Each half is the row profile of the rows of its parity, and the
+    # halves' rows put back together give d.
+    for d in diagrams_up_to(22):
+        lengths, mults, odd_mult = parity_halves(d)
+        assert (lengths, mults, odd_mult) == reference.parity_halves(d), d
+        even, odd = (tuple(chain.from_iterable(map(repeat, *half))) for half in zip(lengths, mults))
+        assert reference.row_union(even, odd) == d
 
 
-def test_row_union_examples():
-    assert row_union((3, 1), (2, 2)) == (3, 2, 2, 1)
-    for d in diagrams_up_to(6):
-        assert row_union(d, ()) == d
-        assert row_union((), d) == d
-
-
-def test_row_union_size_additive():
-    for i in diagrams_up_to(8):
-        for j in diagrams_up_to(8):
-            assert sum(row_union(i, j)) == sum(i) + sum(j)
-
-
-@given(
-    st.lists(st.integers(1, 10), max_size=8), st.lists(st.integers(1, 10), max_size=8)
-)
-def test_row_union_commutes(a, b):
-    i, j = tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True))
-    assert row_union(i, j) == row_union(j, i)
+def test_transposed_rows_of_each_half_match_the_reference_through_n_16():
+    # The cell labels: the transpose of each half, expanded from its profile.
+    for d in diagrams_up_to(16):
+        labels = tuple(map(transposed_rows, *parity_halves(d)[:2]))
+        assert labels == tuple(map(reference.transpose, reference.even_odd_split(d))), d
 
 
 def test_even_parts_iff_transpose_even_multiplicities():
@@ -189,7 +179,7 @@ def test_coset_signature_examples(d, expected):
 
 def test_coset_signature_is_the_sums_of_the_parity_split():
     for d in [*diagrams_up_to(16), (10**23, 10**23, 1)]:
-        assert coset_signature(d) == tuple(map(sum, even_odd_split(d))), d
+        assert coset_signature(d) == tuple(map(sum, reference.even_odd_split(d))), d
 
 
 def test_all_diagrams_order_and_count():
@@ -404,3 +394,18 @@ def test_refused_specs_are_not_cached_and_the_memos_are_bounded():
     for build, memo in MEMOS.items():
         assert memo.cache_info().currsize == sizes[build] > 0
         assert memo.cache_info().maxsize == 1 << 14
+    assert unipotent._orbit_record.cache_info().maxsize == 1 << 14
+
+
+def test_an_iterator_orbit_is_checked_uncached_and_leaves_no_dead_key():
+    # A generator is consumed by its check, so as a key no later call could
+    # hit it: it is checked afresh each time, refusals included.
+    unipotent._checked_orbit.cache_clear()
+    for _ in range(3):
+        assert OrbitSpec(x for x in (2, 1)) == ((2, 1), None)
+        assert OrbitSpec((2, 1), (x for x in (1.0,))) == ((2, 1), (1,))
+        with pytest.raises(InvalidPartitionError) as caught:
+            OrbitSpec(x for x in (1, 2))
+        assert str(caught.value) == "row lengths must be weakly decreasing: (1, 2)"
+    assert unipotent._checked_orbit.cache_info().currsize == 0
+    assert OrbitSpec((2, 1)) is OrbitSpec((2, 1))  # a tuple still goes through the memo

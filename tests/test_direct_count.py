@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import block_multiplicity, strip_fillings
+from reference import block_multiplicity, even_odd_split, strip_fillings
 from unipcount import oracle, unipotent, weylmodules
-from unipcount.diagrams import all_diagrams, coset_signature, even_odd_split, transpose
+from unipcount.diagrams import all_diagrams, coset_signature, transpose
 from unipcount.errors import SizeBoundError
 from unipcount.oracle import lr_coefficient
 from unipcount.symreps import _strip_additions, character_table

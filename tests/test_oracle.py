@@ -306,7 +306,7 @@ def _sweep_faults():
     report) for every check that reports "k mismatches; first: ...", keyed
     by check. Each fault wraps the engine function the check reads."""
     su, sl = unipotent.GroupKind.SU, unipotent.GroupKind.SL_R
-    transpose, row_union, dim = oracle.transpose, oracle.row_union, oracle.irrep_dimension
+    transpose, halves, dim = oracle.transpose, oracle.parity_halves, oracle.irrep_dimension
     lr, tuples, count = oracle._lr, oracle.parameter_tuples, unipotent.count_unipotent
     gl_complex, diagonal = weylmodules.coh_gl_complex, weylmodules.diagonal_module
     # The cell of the orbit 2,1,1, which no diagonal summand holds.
@@ -319,7 +319,7 @@ def _sweep_faults():
         ),
         "split-union-roundtrip": (
             "n=2", "n=3",
-            (oracle, "row_union", lambda even, odd: () if odd == (1, 1) else row_union(even, odd)),
+            (oracle, "parity_halves", lambda d: (([], []), ([], []), [False, False]) if d == (1, 1) else halves(d)),
             "1 mismatches; first: 1,1",
         ),
         "hook-dimension": (

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from unipcount import diagrams, oracle, unipotent, weylmodules
-from unipcount.diagrams import all_diagrams, row_profile
+from unipcount.diagrams import all_diagrams, parity_halves, row_profile
 from unipcount.errors import (
     MAX_ROWS,
     DegreeMismatchError,
@@ -216,7 +216,6 @@ def test_the_row_bound_admits_a_c_odd_list_of_max_rows_entries():
 
 def test_the_row_bound_on_cell_labels(monkeypatch):
     monkeypatch.setattr(unipotent, "MAX_ROWS", 100)
-    unipotent._cell_labels.cache_clear()
     assert cell_rep(make_group("su", p=50, q=50), OrbitSpec((100,))) == ((1,) * 100, ())
     with pytest.raises(SizeBoundError, match="101"):
         cell_rep(make_group("su", p=51, q=50), OrbitSpec((101,)))
@@ -417,6 +416,12 @@ def test_orbit_record_matches_the_reference_past_n_22(orbit):
     assert cell_rep(make_group("su", p=sum(orbit), q=0), OrbitSpec(orbit)) == cell
 
 
+@settings(deadline=None, max_examples=30)
+@given(long_orbits)
+def test_parity_halves_match_the_reference_split_past_n_22(orbit):
+    assert parity_halves(orbit) == reference.parity_halves(orbit)
+
+
 def test_hermitian_counts_build_no_cell_label(monkeypatch):
     # A cold su and u-tilde sweep over every orbit with n <= 12 and every p
     # reads the blocks alone: every name in the engine that builds a cell
@@ -434,7 +439,7 @@ def test_hermitian_counts_build_no_cell_label(monkeypatch):
         raise AssertionError(f"a count built or read a cell label: {args}")
 
     for module in (diagrams, unipotent, weylmodules):
-        for name in ("transpose", "_strip_fillings", "_cell_labels"):
+        for name in ("transpose", "transposed_rows", "_strip_fillings"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     unipotent._orbit_record.cache_clear()
@@ -472,8 +477,7 @@ def test_sweep_fills_one_record_per_orbit():
     # A cold su and u-tilde sweep at n = 12 fills one record per orbit, p(12)
     # = 77, and no other cache but the two input checks: one spec per orbit
     # and one per group, 13 signatures of 2 kinds. None is keyed by a count's
-    # (p, q), and neither the cell labels nor _strip_fillings, keyed by a cell
-    # label, are filled.
+    # (p, q), and _strip_fillings, keyed by a cell label, is not filled.
     caches = _cleared_engine_caches()
     for orbit in map(OrbitSpec, all_diagrams(12)):
         for p in range(13):
