@@ -158,9 +158,13 @@ def _cmd_cell(parser, args) -> int:
     return 0
 
 
+def _cache_dir(args) -> str | None:
+    """The table cache directory: --cache-dir, else $UNIPCOUNT_CACHE_DIR."""
+    return args.cache_dir or os.environ.get(CACHE_ENV)
+
+
 def _cmd_chartable(parser, args) -> int:
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    table = character_table(args.n, cache_dir=cache_dir)
+    table = character_table(args.n, cache_dir=_cache_dir(args))
     classes = all_diagrams(args.n)
     if args.format == "json":
         _emit({"degree": args.n, "classes": [list(mu) for mu in classes], "table": _table_rows(table)})
@@ -182,7 +186,7 @@ def _cmd_verify(parser, args) -> int:
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     all_diagrams(args.max_size)  # refuses a size run_checks would refuse, before a table is stored
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    cache_dir = _cache_dir(args)
     if cache_dir:  # store every table run_checks reads
         for n in range(1, min(args.max_size, TABLE_BOUND) + 1):
             character_table(n, cache_dir=cache_dir)

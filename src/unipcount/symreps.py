@@ -1,11 +1,11 @@
 """Exact character theory of the symmetric groups.
 
 Character tables are built one class column at a time by the
-Murnaghan-Nakayama border-strip rule, optionally cached on disk, and
-dimensions come from the hook-length formula. Everything is integer
-arithmetic. A table maps each label to its row, the tuple of its values at
-the classes in all_diagrams order; the disk cache and the CLI's JSON hold
-the same rows.
+Murnaghan-Nakayama rule, each label held as the bitmask of its bead set, so
+that adding a border strip moves one bead. Tables may be cached on disk, and
+dimensions come from the hook-length formula; all is integer arithmetic. A
+table maps each label to its row, the tuple of its values at the classes in
+all_diagrams order; the disk cache and the CLI's JSON hold the same rows.
 
 Irreducible representations of S_n are labeled by diagrams of size n, with
 the one-row diagram the trivial representation and the one-column diagram
@@ -24,30 +24,20 @@ from .errors import DegreeMismatchError, InvalidPartitionError, whole_numbers
 IrrepLabel = Diagram
 
 
-@cache
-def _strip_additions(label: Diagram, length: int) -> tuple[tuple[Diagram, int], ...]:
-    """(larger label, sign) for every border strip of the given length that
-    can be added to the label.
-
-    Works on the beta-set (first-column hook lengths) padded with `length`
-    zero rows, enough for a strip to start new rows: adding a strip moves
-    one beta number up by that length, and the sign is -1 to the number of
-    beta numbers it jumps over (the strip's height).
-    """
-    nrows = len(label) + length
-    beta = [p + nrows - 1 - i for i, p in enumerate(label + (0,) * length)]
-    out = []
-    j = 0  # first bead at or below the target; moves down as b does
-    for i, b in enumerate(beta):
-        nb = b + length
-        while beta[j] > nb:
-            j += 1
-        if beta[j] == nb:
-            continue
-        newbeta = beta[:j] + [nb] + beta[j:i] + beta[i + 1 :]
-        larger = (x - (nrows - 1 - k) for k, x in enumerate(newbeta))
-        out.append((tuple(p for p in larger if p), -1 if (i - j) % 2 else 1))
-    return tuple(out)
+def _bead_moves(beads: int, length: int) -> list[tuple[int, int]]:
+    """(larger bead set, sign) for every border strip of the given length
+    that can be added to the label with this bead set: one bead moves up
+    from b to the empty place b + length, and the sign is -1 to the number
+    of beads it jumps over (the strip's height)."""
+    moves = []
+    rest = beads
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        up = low << length
+        if not beads & up:
+            moves.append((beads ^ low ^ up, (-1) ** (beads & (up - 2 * low)).bit_count()))
+    return moves
 
 
 @cache
@@ -146,33 +136,39 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
 
 
 def _build_table(n: int) -> dict[IrrepLabel, tuple[int, ...]]:
-    """The Murnaghan-Nakayama rule run forward, one class column at a time.
+    """The Murnaghan-Nakayama rule run forward, one class column at a time,
+    on labels held as bitmasks of n beads, bead i at label[i] + n - 1 - i.
 
-    The column of a class holds the nonzero values chi^lam(cls) by label.
-    It comes from the column of the suffix cls[1:], every value of which is
-    pushed through the strips of length cls[0] that can be added to its
-    label. Suffixes are shared between classes, so their columns are kept in
-    a memo that lives only as long as the build: a loop, not a recursive
-    closure, fills it, so no reference cycle keeps it alive afterwards.
+    The column of a class holds the nonzero values chi^lam(cls) by bead set,
+    pushed from the column of the suffix cls[1:] through the bead moves of
+    length cls[0]. Columns and moves live in memos filled by a loop, not a
+    recursive closure, so no reference cycle keeps them after the build.
     """
     classes = all_diagrams(n)
-    memo: dict[Diagram, dict[IrrepLabel, int]] = {(): {(): 1}}
+    memo: dict[Diagram, dict[int, int]] = {(): {(1 << n) - 1: 1}}
+    moves: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for cls in classes:
         for start in range(len(cls) - 1, -1, -1):
             suffix = cls[start:]
             if suffix in memo:
                 continue
-            column: dict[IrrepLabel, int] = {}
+            column: dict[int, int] = {}
             for smaller, value in memo[suffix[1:]].items():
-                for larger, sign in _strip_additions(smaller, suffix[0]):
+                key = (smaller, suffix[0])
+                if key not in moves:
+                    moves[key] = _bead_moves(*key)
+                for larger, sign in moves[key]:
                     column[larger] = column.get(larger, 0) + sign * value
-            memo[suffix] = {lam: v for lam, v in column.items() if v}
-    position = {lam: i for i, lam in enumerate(classes)}
-    rows = [[0] * len(classes) for _ in classes]
+            memo[suffix] = {beads: v for beads, v in column.items() if v}
+    # Each label becomes its bead set once, to key its row; rows keep class order.
+    rows = {
+        sum(1 << (p + n - 1 - i) for i, p in enumerate(lam + (0,) * (n - len(lam)))): [0] * len(classes)
+        for lam in classes
+    }
     for j, cls in enumerate(classes):
-        for lam, value in memo[cls].items():
-            rows[position[lam]][j] = value
-    return dict(zip(classes, map(tuple, rows)))
+        for beads, value in memo[cls].items():
+            rows[beads][j] = value
+    return dict(zip(classes, map(tuple, rows.values())))
 
 
 def _table_path(n: int, cache_dir: str | Path) -> Path:

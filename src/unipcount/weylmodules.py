@@ -6,7 +6,7 @@ first class, carrying the empty diagram as their only label. The zero module
 keeps its shape, so sums stay total on matching shapes.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import prod
 from operator import sub
@@ -268,7 +268,7 @@ def _block_signature(p: int, q: int, r: int) -> tuple[int, int] | None:
     return p - r // 2, q - r // 2
 
 
-@cache
+@lru_cache(maxsize=1 << 14)
 def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     """Matchings module on a degree-r first factor tensored with the sign
     inductions on the remaining degree; the zero module of shape
@@ -279,7 +279,7 @@ def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     return matchings_module(r // 2).tensor(sign_induction_module(*rest))
 
 
-@cache
+@lru_cache(maxsize=1 << 14)
 def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     """Mirror of block_matchings_first, with the matchings factor second and
     shape (p+q-r, r)."""

@@ -25,6 +25,19 @@ def irreducible_character(label):
     return ClassFunction(n, {mu: chi(label, mu) for mu in all_diagrams(n)})
 
 
+# Reference: a label as symreps._build_table holds it, the bitmask of its
+# bead set with n beads, bead i at label[i] + n - 1 - i; n must be at least
+# the label's number of rows. label_of reads a bead set back.
+def bead_set(label, n):
+    return sum(1 << (p + n - 1 - i) for i, p in enumerate(label + (0,) * (n - len(label))))
+
+
+def label_of(beads, n):
+    places = [b for b in range(beads.bit_length() - 1, -1, -1) if beads >> b & 1]
+    assert len(places) == n, (beads, n)
+    return tuple(p for p in (b - (n - 1 - i) for i, b in enumerate(places)) if p)
+
+
 # Reference: the per-(p, q) block multiplicity that count_unipotent read
 # before it kept one record per orbit. The multiplicity of (matched, other)
 # in block_matchings_first(p, q, r), without building it: the matchings

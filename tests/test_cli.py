@@ -291,6 +291,25 @@ def test_chartable_cache_env_var(cli_runner, tmp_path, monkeypatch):
     assert (tmp_path / "chartable_4.json").is_file()
 
 
+@pytest.mark.parametrize(
+    "command, stored",
+    [
+        (["chartable", "--n", "3"], ["chartable_3.json"]),
+        (["verify", "--max-size", "2"], ["chartable_1.json", "chartable_2.json"]),
+    ],
+    ids=["chartable", "verify"],
+)
+def test_cache_dir_flag_wins_over_the_env_var(cli_runner, tmp_path, monkeypatch, command, stored):
+    # Both table commands read the same default: --cache-dir when it is
+    # given and not empty, else UNIPCOUNT_CACHE_DIR.
+    flag, env = tmp_path / "flag", tmp_path / "env"
+    monkeypatch.setenv("UNIPCOUNT_CACHE_DIR", str(env))
+    assert cli_runner([*command, "--cache-dir", str(flag)])[0] == 0
+    assert (sorted(p.name for p in flag.iterdir()), env.exists()) == (stored, False)
+    assert cli_runner([*command, "--cache-dir", ""])[0] == 0
+    assert sorted(p.name for p in env.iterdir()) == stored
+
+
 def test_chartable_json_shape(cli_runner):
     code, out, _ = cli_runner(["chartable", "--n", "3", "--format", "json"])
     assert code == 0

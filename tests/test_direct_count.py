@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import block_multiplicity, even_odd_split, strip_fillings
+from reference import bead_set, block_multiplicity, even_odd_split, label_of, strip_fillings
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, transpose
 from unipcount.errors import SizeBoundError
 from unipcount.oracle import lr_coefficient
-from unipcount.symreps import _strip_additions, character_table
+from unipcount.symreps import _bead_moves, character_table
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
     coh_gl_complex,
@@ -171,16 +171,17 @@ def test_sign_induction_character_matches_the_induced_matchings_class_by_class()
 def _class_column(cls):
     """chi^nu(cls) for every label nu where it is not 0, by the
     Murnaghan-Nakayama rule run forward, one part of cls at a time, through
-    the strip additions character_table is built from: one column of the
-    table without the rest of it."""
-    column = {(): 1}
+    the bead moves character_table is built from: one column of the table
+    without the rest of it."""
+    n = sum(cls)
+    column = {bead_set((), n): 1}
     for part in cls:
         grown = {}
         for smaller, value in column.items():
-            for larger, sign in _strip_additions(smaller, part):
+            for larger, sign in _bead_moves(smaller, part):
                 grown[larger] = grown.get(larger, 0) + sign * value
-        column = {nu: v for nu, v in grown.items() if v}
-    return column
+        column = {beads: v for beads, v in grown.items() if v}
+    return {label_of(beads, n): v for beads, v in column.items()}
 
 
 def test_class_column_matches_the_character_table():

@@ -1,8 +1,11 @@
 import gc
+import json
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from hashlib import sha256
 from math import factorial
 from operator import mul
 
@@ -10,11 +13,12 @@ import pytest
 
 from unipcount.diagrams import all_diagrams, transpose
 from unipcount.errors import DegreeMismatchError, InvalidPartitionError
-from reference import chi, irreducible_character
+from reference import bead_set, chi, irreducible_character, label_of
 from unipcount.oracle import lr_coefficient
 from unipcount.symreps import (
     ClassFunction,
-    _strip_additions,
+    _bead_moves,
+    _table_rows,
     centralizer_order,
     character_table,
     irrep_dimension,
@@ -307,26 +311,60 @@ def test_character_table_matches_the_strip_removal_recursion():
             assert type(table[lam]) is tuple
 
 
+# SHA-256 of json.dumps(_table_rows(character_table(n))), the text of a
+# cache file, past the bound of the _mn recursion and of CHARTABLE_SHA256;
+# recorded from the label-tuple build that preceded the bead moves.
+TABLE_ROWS_SHA256 = {
+    13: "71e4ef96c3d92036ed8689ba0ac7349747e4a92b550e202d92f864cc1ad9e18f",
+    14: "95a31b4a6e961102cdcb65fde07d18ef9d87e2c412a0529d0946ebe20df9a910",
+    15: "f5d0a37174923543304aa824126bd7ac53271fd6e344216c9a5addef75279021",
+    16: "19c80154e70a56fac1cbd327bce4460db7228db50fbe73d779a1d33b45660657",
+    17: "e78a8a149950b8e59c536e861a62af21bde472ed5ba8506d107f8f5114e15447",
+    18: "effc1894f3858ceca1848e6d41711d01f4fa0f1b5e946c1bb2621b37996ecf52",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_ROWS_SHA256))
+def test_character_table_rows_match_their_recorded_digests_past_n_12(n):
+    rows = json.dumps(_table_rows(character_table(n)))
+    assert sha256(rows.encode()).hexdigest() == TABLE_ROWS_SHA256[n]
+
+
 def test_a_build_leaves_only_the_table_behind():
-    # The memo of suffix columns dies with the build by reference counting
-    # alone: with the cyclic collector off, a build leaves no garbage that
-    # only the collector could free.
+    # The memos of a build die with it by reference counting alone: with the
+    # cyclic collector off, a build leaves no garbage that only the collector
+    # could free. Once the table is dropped too, what the build still holds
+    # is under a tenth of the table: only the interpreter's free lists, which
+    # the warm-up build has filled. Every functools cache of symreps starts
+    # empty, so a cache that the build fills shows here.
     import unipcount.symreps as symreps
 
-    symreps._TABLES.pop(12, None)
+    symreps._build_table(14)
+    for obj in vars(symreps).values():
+        if getattr(obj, "__module__", None) == symreps.__name__ and hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    symreps._TABLES.pop(14, None)
     gc.collect()
     gc.disable()
+    tracemalloc.start()
     try:
-        character_table(12)
+        before = tracemalloc.get_traced_memory()[0]
+        table = character_table(14)
+        with_table = tracemalloc.get_traced_memory()[0] - before
         assert gc.collect() == 0
+        del table, symreps._TABLES[14]
+        left = tracemalloc.get_traced_memory()[0] - before
     finally:
+        tracemalloc.stop()
         gc.enable()
+    assert left * 10 < with_table - left, (left, with_table)
 
 
-def test_strip_additions_invert_the_strip_removals():
+def test_bead_moves_invert_the_strip_removals():
     # For every label of size <= 10 and every strip length up to 10, the
-    # strips added to it are exactly the strips removed from a larger label
-    # that give it back, with the same signs.
+    # bead moves from its bead set are exactly the strips removed from a
+    # larger label that give it back, with the same signs. The moves are
+    # read at the fewest beads that hold the larger label and at 20 beads.
     removed = {}
     for size in range(1, 21):
         for larger in all_diagrams(size):
@@ -336,8 +374,10 @@ def test_strip_additions_invert_the_strip_removals():
     for size in range(0, 11):
         for label in all_diagrams(size):
             for length in range(1, 11):
-                added = Counter(_strip_additions(label, length))
-                assert added == removed.get((label, length), Counter())
+                for n in (size + length, 20):
+                    moves = _bead_moves(bead_set(label, n), length)
+                    added = Counter((label_of(beads, n), sign) for beads, sign in moves)
+                    assert added == removed.get((label, length), Counter()), (label, length, n)
 
 
 def test_column_orthogonality_beyond_the_oracle_bound():

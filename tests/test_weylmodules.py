@@ -182,6 +182,22 @@ def test_blocks_vanish_when_rank_exceeds_signature():
     assert block_matchings_first(2, 0, 2) == ModuleDecomp((2, 0))
 
 
+@pytest.mark.parametrize("block", [block_matchings_first, block_matchings_second])
+def test_the_zero_block_cache_is_bounded(block):
+    # Every distinct (p, q, r) with min(p, q) < r/2 is a zero block; a sweep
+    # of more of them than the bound leaves the cache at the bound.
+    # The full cache is emptied again, so later tests do not carry it.
+    bound = block.cache_info().maxsize
+    assert bound == 1 << 14
+    block.cache_clear()
+    try:
+        for q in range(bound + 10):
+            assert block(0, q + 2, 2).mults == {}
+        assert block.cache_info().currsize == bound
+    finally:
+        block.cache_clear()
+
+
 def test_block_examples():
     assert block_matchings_first(2, 1, 2) == md((2, 1), {((2,), (1,)): 1})
     assert block_matchings_second(1, 1, 2) == md((0, 2), {((), (2,)): 1})
