@@ -1,4 +1,5 @@
 import re
+from hashlib import sha256
 from math import comb, factorial, inf, nan
 
 import pytest
@@ -411,3 +412,39 @@ def test_every_small_coh_module_reads_back_from_json_in_canonical_order():
         entries = module.entries()
         assert [key for key, _ in entries] == sorted(module.mults, reverse=True)
         assert all(module.mults[key] == m for key, m in entries)
+
+
+def _entries_digest(modules):
+    digest = sha256()
+    for module in modules:
+        digest.update(repr(module.entries()).encode())
+    return digest.hexdigest()
+
+
+def test_sign_induction_entries_are_pinned():
+    # entries() of sign_induction_module(p, q) for every p + q <= 18, in
+    # order of n = p + q, then p.
+    modules = (sign_induction_module(p, n - p) for n in range(19) for p in range(n + 1))
+    assert _entries_digest(modules) == "8cd91a78321e0c7348a095dd8e1954ba522bc8f777037fb1609e9cc4bc4f8db0"
+
+
+_SIGNATURES_TO_14 = [(n, CosetSignature(n_h, n - n_h)) for n in range(15) for n_h in range(n + 1)]
+COH_ENTRIES_SHA256 = {
+    "su": "13c36ffd483aa99d8255de3d9e9ec78f9ff1a3bd1858704a4c8251e3c3501191",
+    "u-tilde": "f744caa9963ecc06575d5e582e81c4fbdea7cc7863fd00ba6059ae4ae7f5fb82",
+    "gl-c": "7d53ef3e6bb81fae4485c93fe4c36f41c308581f8d490662c1a4899223d95d9b",
+    "sl-c": "ddae748dc66a42bcb3aa1ec09f1ad26ab7f0afee04d807064e2ef6c13a63e7a4",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COH_ENTRIES_SHA256))
+def test_coh_entries_are_pinned(kind):
+    # entries() of every coh module with n <= 14: each coset signature (n_h,
+    # n_0) with n_h + n_0 = n, and for su and u-tilde each (p, n - p) at it.
+    if kind in ("gl-c", "sl-c"):
+        build = coh_gl_complex if kind == "gl-c" else coh_sl_complex
+        modules = (build(sig) for _, sig in _SIGNATURES_TO_14)
+    else:
+        build = coh_su if kind == "su" else coh_u_cover
+        modules = (build(p, n - p, sig) for n, sig in _SIGNATURES_TO_14 for p in range(n + 1))
+    assert _entries_digest(modules) == COH_ENTRIES_SHA256[kind]
