@@ -11,7 +11,7 @@ from itertools import accumulate, chain, repeat, starmap
 from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, whole_numbers
+from .errors import MAX_MEMO, MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, whole_numbers
 
 Diagram = tuple[int, ...]
 
@@ -38,7 +38,7 @@ def check_diagram(d: Iterable[int]) -> Diagram:
 # Bounded so that a long-lived process fed ever new diagrams stays small. A
 # hit is exact: equal tuples of ints, whole floats and bools hash alike and
 # get the same all-int result. A failed check raises and is not cached.
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=MAX_MEMO)
 def _checked(given: tuple) -> Diagram:
     rows = whole_numbers(given, InvalidPartitionError, _NOT_WHOLE)
     # Weakly decreasing rows are positive when the last one is; min is taken

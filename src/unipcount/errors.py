@@ -1,5 +1,5 @@
-"""Exception types, the size bounds behind SizeBoundError, and the
-whole-number test shared across the engine."""
+"""Exception types, the size bounds behind SizeBoundError, the bound of the
+engine's memos, and the whole-number test shared across the engine."""
 
 
 class EngineError(Exception):
@@ -36,6 +36,9 @@ MAX_ROWS = 10**6
 
 # The largest n whose partitions all_diagrams lists: p(50) = 204,226 of them.
 MAX_PARTITIONED = 50
+
+# Entries of each of the engine's bounded memos.
+MAX_MEMO = 1 << 14
 
 
 def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]:

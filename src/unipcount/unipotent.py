@@ -11,9 +11,10 @@ from operator import getitem
 from typing import Iterator, NamedTuple
 
 from .diagrams import Diagram, check_diagram, coset_signature, parity_halves, row_profile, transposed_blocks, transposed_rows
-from .errors import MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
+from .errors import MAX_MEMO, MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
+    _pieri_count,
     _profile_fillings,
     coh_gl_complex,
     coh_sl_complex,
@@ -82,7 +83,7 @@ def make_group(
 # with diagrams._checked, a hit is exact: equal inputs that hash alike (2.0
 # and 2, True and 1, "su" and GroupKind.SU) get the same all-int spec. A
 # refused input raises and is not cached.
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=MAX_MEMO)
 def _checked_group(kind, n, p, q) -> GroupSpec:
     try:
         kind, minimum = _KINDS[kind]
@@ -138,7 +139,7 @@ class OrbitSpec(_Orbit):
 
 
 # Bounded and exact on a hit, as _checked_group is.
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=MAX_MEMO)
 def _checked_orbit(first, second) -> OrbitSpec:
     return tuple.__new__(OrbitSpec, (check_diagram(first), None if second is None else check_diagram(second)))
 
@@ -172,15 +173,15 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
 
 
 # A sweep counts each orbit at every (p, q); bounded, as a c_odd list may hold MAX_ROWS.
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=MAX_MEMO)
 def _orbit_record(orbit: Diagram) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(c_odd, even) of each block that can hold the cell, read off parity_halves(orbit)
-    with no cell label: the block matching the transpose of one parity half, when each of
-    that half's multiplicities is even, takes _profile_fillings of transposed_blocks of the
-    other half (Macdonald I.1), the even half's block first. The pairs go to
-    _profile_fillings as they are made, shortest transposed row first, since its products
-    do not depend on the order. c_odd has one entry more than the other half's longest row
-    at most; _profile_fillings refuses one longer than MAX_ROWS."""
+    """The record _pieri_count reads for the orbit: (c_odd, even) of each block that can hold
+    the cell, read off parity_halves(orbit) with no cell label. The block matching the
+    transpose of one parity half, when each of that half's multiplicities is even, takes
+    _profile_fillings of transposed_blocks of the other half (Macdonald I.1), the even half's
+    block first. The pairs go to _profile_fillings as they are made, shortest transposed row
+    first, since its products do not depend on the order. c_odd has one entry more than the
+    other half's longest row at most; _profile_fillings refuses one longer than MAX_ROWS."""
     lengths, mults, odd_mult = parity_halves(orbit)
     record = ()
     if not odd_mult[0]:
@@ -263,13 +264,13 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     transpose of the odd rows), with |a| = n_h and |b| = n_0. A block
     summand holds it only if the label in its matchings factor, a or b, of
     size r, has all rows even, and then as often as
-    sign_induction_multiplicity holds the other label at (p - r/2, q - r/2):
-    c_odd[i] * even, where (c_odd, even) = _profile_fillings of the other
-    label's blocks and i = (len(c_odd) - 1 + p - q)/2, or 0 if i is out
-    of range. The summand needs min(p, q) >= r/2, and the range of i already
-    ensures it: the other label has size p + q - r and len(c_odd) - 1 odd
-    rows, so a block with min(p, q) < r/2 has |p - q| > p + q - r >=
-    len(c_odd) - 1, which puts i outside 0 <= i < len(c_odd). By Macdonald
+    sign_induction_module(p - r/2, q - r/2) holds the other label: the
+    _pieri_count of its _profile_fillings at d = (p - r/2) - (q - r/2) =
+    p - q, with index i = (len(c_odd) - 1 + p - q)/2 in range. The summand
+    needs min(p, q) >= r/2, and the range of i already ensures it: the
+    other label has size p + q - r and len(c_odd) - 1 odd rows, so a block
+    with min(p, q) < r/2 has |p - q| > p + q - r >= len(c_odd) - 1, which
+    puts i outside 0 <= i < len(c_odd). By Macdonald
     I.1 the rows of a (of b) are running totals of the multiplicities of the
     even (odd) row lengths, so a has all rows even exactly when each of
     those multiplicities is, and a label's (row length, multiplicity) pairs
@@ -310,13 +311,7 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
         if kind is GroupKind.GL_R:
             return total
         return (total + 3 * (not any(m % 2 for m in mults))) // 2
-    p, q = group.p, group.q
-    count = 0
-    for c_odd, even in _orbit_record(orbit.first):
-        i = (len(c_odd) - 1 + p - q) // 2
-        if 0 <= i < len(c_odd):
-            count += c_odd[i] * even
-    return count
+    return _pieri_count(_orbit_record(orbit.first), group.p - group.q)
 
 
 def query_record(group: GroupSpec, orbit: OrbitSpec, **fields) -> dict:

@@ -21,6 +21,7 @@ from .diagrams import (
     row_profile,
 )
 from .errors import (
+    MAX_MEMO,
     MAX_ROWS,
     DegreeMismatchError,
     ShapeMismatchError,
@@ -177,21 +178,21 @@ def _check_signature(p: int, q: int) -> None:
 def sign_induction_module(p: int, q: int) -> ModuleDecomp:
     """Sum over 0 <= k <= min(p, q) of the induction to S_{p+q} of the
     matchings module of rank k times sign on S_{p-k} times sign on S_{q-k},
-    read entry by entry off sign_induction_multiplicity."""
+    read label by label off _pieri_count of its _strip_fillings."""
     _check_signature(p, q)
-    mults = {(nu,): m for nu in all_diagrams(p + q) if (m := sign_induction_multiplicity(nu, p, q))}
+    mults = {(nu,): m for nu in all_diagrams(p + q) if (m := _pieri_count(_strip_fillings(nu), p - q))}
     return _built((p + q,), mults)
 
 
 @cache
-def _strip_fillings(nu: Diagram) -> tuple[tuple[int, ...], int]:
-    """_profile_fillings of nu's row profile, once per label."""
-    return _profile_fillings(zip(*row_profile(nu)))
+def _strip_fillings(nu: Diagram) -> tuple[tuple[tuple[int, ...], int]]:
+    """nu's one-block record for _pieri_count: _profile_fillings of its row profile, once per label."""
+    return (_profile_fillings(zip(*row_profile(nu))),)
 
 
 def _profile_fillings(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """c_odd(t) of sign_induction_multiplicity, lowest degree first, and the product of
-    m_b + 1 over the even-length blocks of the label whose blocks of m_b rows of one length
+    """c_odd(t) of _pieri_count, lowest degree first, and the product of m_b + 1
+    over the even-length blocks of the label whose blocks of m_b rows of one length
     are the (length, m_b) pairs of blocks, in any order: both are products over the blocks.
     c_odd has one entry more than the label has odd rows, at most MAX_ROWS: a longer one is
     refused before it is built, naming the label's number of rows, which for a cell label is
@@ -211,9 +212,11 @@ def _profile_fillings(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     return tuple(c_odd), even
 
 
-def sign_induction_multiplicity(nu: Diagram, p: int, q: int) -> int:
-    """Multiplicity of (nu,) in sign_induction_module(p, q), without
-    building the module.
+def _pieri_count(record: Iterable[tuple[tuple[int, ...], int]], d: int) -> int:
+    """Sum over the (c_odd, even) blocks of a record, each the _profile_fillings of a label
+    nu, of the multiplicity of (nu,) in sign_induction_module(p, q) at d = p - q, for
+    |nu| = p + q: c_odd[i] * even with i = (len(c_odd) - 1 + d)/2, or 0 when i is out of
+    range.
 
     By the Pieri rule for vertical strips (Macdonald, Symmetric Functions
     and Hall Polynomials, I.(5.16)-(5.17)), inducing tau times sign on
@@ -241,15 +244,14 @@ def sign_induction_multiplicity(nu: Diagram, p: int, q: int) -> int:
     never binds: with E even rows, p + q = |nu| >= O + 2E, so every J <= E
     is allowed, and the sum of c_even(J) over J is the product of m_b + 1
     over the even-length blocks. Hence the multiplicity is c_odd(I) times
-    that product, with I an integer since O = |nu| = p + q mod 2; it is 0
-    unless |nu| = p + q.
+    that product, with I an integer since O = |nu| = p + q mod 2.
     """
-    _check_signature(p, q)
-    if sum(nu) != p + q:
-        return 0
-    c_odd, even = _strip_fillings(nu)
-    i = (len(c_odd) - 1 + p - q) // 2
-    return c_odd[i] * even if 0 <= i < len(c_odd) else 0
+    count = 0
+    for c_odd, even in record:
+        i = (len(c_odd) - 1 + d) // 2
+        if 0 <= i < len(c_odd):
+            count += c_odd[i] * even
+    return count
 
 
 @cache
@@ -268,7 +270,7 @@ def _block_signature(p: int, q: int, r: int) -> tuple[int, int] | None:
     return p - r // 2, q - r // 2
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=MAX_MEMO)
 def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     """Matchings module on a degree-r first factor tensored with the sign
     inductions on the remaining degree; the zero module of shape
@@ -279,7 +281,7 @@ def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     return matchings_module(r // 2).tensor(sign_induction_module(*rest))
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=MAX_MEMO)
 def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     """Mirror of block_matchings_first, with the matchings factor second and
     shape (p+q-r, r)."""

@@ -5,7 +5,7 @@ from math import prod
 
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.symreps import ClassFunction, character_table
-from unipcount.weylmodules import _block_signature, sign_induction_multiplicity
+from unipcount.weylmodules import _block_signature, sign_induction_module
 
 
 def chi(lam, mu, table=None):
@@ -38,16 +38,22 @@ def label_of(beads, n):
     return tuple(p for p in (b - (n - 1 - i) for i, b in enumerate(places)) if p)
 
 
+# Reference: the entry of (nu,) in sign_induction_module(p, q), or 0, also
+# for a label of another size, which the module does not hold.
+def sign_induction_entry(nu, p, q):
+    return sign_induction_module(p, q).mults.get((nu,), 0)
+
+
 # Reference: the per-(p, q) block multiplicity that count_unipotent read
 # before it kept one record per orbit. The multiplicity of (matched, other)
-# in block_matchings_first(p, q, r), without building it: the matchings
-# factor holds exactly the diagrams with all rows even, once each, so this
-# is sign_induction_multiplicity of the other factor, or 0.
+# in block_matchings_first(p, q, r), without building that block: the
+# matchings factor holds exactly the diagrams with all rows even, once each,
+# so this is the sign-induction entry of the other factor, or 0.
 def block_multiplicity(p, q, r, matched, other):
     rest = _block_signature(p, q, r)
     if rest is None or any(row % 2 for row in matched):
         return 0
-    return sign_induction_multiplicity(other, *rest)
+    return sign_induction_entry(other, *rest)
 
 
 # Reference: the parity split as the engine made it before parity_halves
@@ -81,8 +87,9 @@ def transpose(d):
     return tuple(sum(1 for p in d if p > i) for i in range(d[0]))
 
 
-# Reference: _strip_fillings as it convolved before it read running totals,
-# one slice sum per coefficient, quadratic in the odd-row multiplicities.
+# Reference: the one block of a _strip_fillings record as it convolved before
+# it read running totals, one slice sum per coefficient, quadratic in the
+# odd-row multiplicities.
 def strip_fillings(nu):
     c_odd, even = [1], 1
     for length, m in zip(*row_profile(nu)):

@@ -330,6 +330,31 @@ def test_verify_passes(cli_runner):
     assert all(c["pass"] for c in rec["checks"])
 
 
+def test_verify_reports_a_failing_check(cli_runner, monkeypatch):
+    # Text output names each failing instance of a check that has one, and
+    # the instance count of every other check, then how many failed; both
+    # formats exit 1.
+    checks = [
+        {"check": "alpha", "instance": "n=1", "expected": "1", "actual": "1", "pass": True},
+        {"check": "alpha", "instance": "n=2", "expected": "2", "actual": "2", "pass": True},
+        {"check": "beta", "instance": "n=1", "expected": "3", "actual": "4", "pass": False},
+        {"check": "beta", "instance": "n=2", "expected": "5", "actual": "5", "pass": True},
+        {"check": "gamma", "instance": "all", "expected": "0", "actual": "0", "pass": True},
+    ]
+    monkeypatch.setattr(cli, "run_checks", lambda max_size: [dict(c) for c in checks])
+    code, out, err = cli_runner(["verify", "--max-size", "2"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "ok alpha: 2 instances",
+        "FAIL beta n=1: expected 3, got 4",
+        "ok gamma: 1 instances",
+        "1 checks failed",
+    ]
+    code, out, err = cli_runner(["verify", "--max-size", "2", "--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"max_size": 2, "checks": checks, "all_passed": False}
+
+
 def test_chartable_cache_file_holds_the_json_table(cli_runner, tmp_path):
     # The cache file and `--format json` write one row format.
     code, out, _ = cli_runner(["chartable", "--n", "5", "--cache-dir", str(tmp_path), "--format", "json"])

@@ -21,6 +21,7 @@ from unipcount.diagrams import (
     transposed_rows,
 )
 from unipcount.errors import (
+    MAX_MEMO,
     MAX_PARTITIONED,
     DegreeMismatchError,
     EngineError,
@@ -306,7 +307,7 @@ def test_failed_checks_are_not_cached_and_the_cache_is_bounded():
         with pytest.raises(InvalidPartitionError):
             check_diagram(d)
     assert diagrams._checked.cache_info().currsize == 0
-    assert diagrams._checked.cache_info().maxsize == 1 << 14
+    assert diagrams._checked.cache_info().maxsize == MAX_MEMO
 
 
 # make_group and OrbitSpec check each distinct input once, behind a memo like
@@ -393,8 +394,8 @@ def test_refused_specs_are_not_cached_and_the_memos_are_bounded():
             OrbitSpec(*args)
     for build, memo in MEMOS.items():
         assert memo.cache_info().currsize == sizes[build] > 0
-        assert memo.cache_info().maxsize == 1 << 14
-    assert unipotent._orbit_record.cache_info().maxsize == 1 << 14
+        assert memo.cache_info().maxsize == MAX_MEMO
+    assert unipotent._orbit_record.cache_info().maxsize == MAX_MEMO
 
 
 def test_an_iterator_orbit_is_checked_uncached_and_leaves_no_dead_key():

@@ -214,6 +214,20 @@ def test_character_table_ignores_corrupt_cache(tmp_path):
     assert table == character_table(5)
 
 
+@pytest.mark.parametrize("held", [[[1]], 3], ids=["a JSON list", "the degree-3 table"])
+def test_character_table_rebuilds_a_cache_file_of_another_table(tmp_path, held):
+    # Valid JSON that is not the degree-4 table is a miss: the table is
+    # rebuilt, and its file rewritten.
+    import unipcount.symreps as symreps
+
+    path = tmp_path / "chartable_4.json"
+    path.write_text(json.dumps(held if isinstance(held, list) else _table_rows(character_table(held))))
+    assert symreps._load_table(4, tmp_path) is None
+    symreps._TABLES.pop(4, None)
+    assert character_table(4, cache_dir=tmp_path) == symreps._build_table(4)
+    assert json.loads(path.read_text()) == json.loads(json.dumps(_table_rows(character_table(4))))
+
+
 def test_character_table_rejects_booleans_in_cache(tmp_path):
     # JSON true loads as a bool, which isinstance(v, int) would let through.
     import unipcount.symreps as symreps

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from unipcount import diagrams
 from unipcount.diagrams import CosetSignature, all_diagrams, coset_signature
 from unipcount.errors import (
+    MAX_MEMO,
     DegreeMismatchError,
     InvalidPartitionError,
     ShapeMismatchError,
@@ -26,7 +27,6 @@ from unipcount.weylmodules import (
     diagonal_module,
     matchings_module,
     sign_induction_module,
-    sign_induction_multiplicity,
 )
 
 
@@ -43,6 +43,22 @@ def test_sum_identity_and_pointwise():
 def test_sum_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         md((2,), {((2,),): 1}) + md((3,), {((3,),): 1})
+
+
+def test_sum_with_a_non_module_is_a_type_error():
+    with pytest.raises(TypeError):
+        md((2,), {((2,),): 1}) + 1
+
+
+def test_a_negative_factor_degree_is_refused():
+    with pytest.raises(ShapeMismatchError, match=r"must be non-negative: \(2, -1\)$"):
+        ModuleDecomp((2, -1))
+
+
+def test_repr_lists_the_entries_in_order():
+    a = md((2, 0), {((1, 1), ()): 2, ((2,), ()): 1})
+    assert repr(a) == "ModuleDecomp(shape=(2, 0), {([2],[]): 1, ([1,1],[]): 2})"
+    assert repr(ModuleDecomp((2, 1))) == "ModuleDecomp(shape=(2, 1), {})"
 
 
 def test_sum_dimension_additive():
@@ -189,7 +205,7 @@ def test_the_zero_block_cache_is_bounded(block):
     # of more of them than the bound leaves the cache at the bound.
     # The full cache is emptied again, so later tests do not carry it.
     bound = block.cache_info().maxsize
-    assert bound == 1 << 14
+    assert bound == MAX_MEMO
     block.cache_clear()
     try:
         for q in range(bound + 10):
@@ -248,8 +264,6 @@ def test_coh_u_cover_degree_mismatch():
         (coh_u_cover, (3, -1, (2, 0))),
         (block_matchings_first, (-1, 3, 0)),
         (block_matchings_second, (3, -1, 0)),
-        (sign_induction_multiplicity, ((2,), -1, 3)),
-        (sign_induction_multiplicity, ((1, 1, 1), 5, -2)),
     ],
 )
 def test_builders_reject_negative_signature(build, args):
