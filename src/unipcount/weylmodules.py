@@ -41,6 +41,8 @@ class ModuleDecomp:
     Shape entries and multiplicities must be whole numbers: 2.0 coerces to
     2, and 2.5 is rejected rather than truncated. Optional named summands
     can be attached as ``parts`` metadata; they are ignored by equality.
+    The constructor, from_json_obj and multiplicity check outside input
+    only: the engine builds through _built and reads mults by key.
     """
 
     __slots__ = ("shape", "mults", "parts")
@@ -262,9 +264,11 @@ def diagonal_module(r: int) -> ModuleDecomp:
 
 
 def _block_signature(p: int, q: int, r: int) -> tuple[int, int] | None:
-    """(p, q) of the sign induction beside a degree-r matchings factor in a
-    block summand, or None when r is odd or min(p, q) < r/2 (a zero block)."""
+    """(p, q) of the sign induction beside a matchings factor of degree r in 0..p+q
+    in a block summand, or None when r is odd or min(p, q) < r/2 (a zero block)."""
     _check_signature(p, q)
+    if not 0 <= r <= p + q:
+        raise ShapeMismatchError(f"a block degree must lie in 0..{p + q}, got {r}")
     if r % 2 or min(p, q) < r // 2:
         return None
     return p - r // 2, q - r // 2
@@ -277,7 +281,7 @@ def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     (r, p+q-r) when r is odd or min(p, q) < r/2."""
     rest = _block_signature(p, q, r)
     if rest is None:
-        return ModuleDecomp((r, p + q - r))
+        return _built((r, p + q - r), {})
     return matchings_module(r // 2).tensor(sign_induction_module(*rest))
 
 
@@ -287,7 +291,7 @@ def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     shape (p+q-r, r)."""
     rest = _block_signature(p, q, r)
     if rest is None:
-        return ModuleDecomp((p + q - r, r))
+        return _built((p + q - r, r), {})
     return sign_induction_module(*rest).tensor(matchings_module(r // 2))
 
 

@@ -221,6 +221,14 @@ def test_decompose_refuses_a_class_function_that_is_not_a_character():
         decompose(ClassFunction(2, {(2,): 1, (1, 1): 0}))
 
 
+def test_fusion_refuses_a_centralizer_index_that_is_not_whole(monkeypatch):
+    # A raise, not an assert, so python -O keeps it. With z(cls) = len(cls)
+    # + 1, the class (1, 1) of S_2 would have index 3 / (2 * 2) over S_1 x S_1.
+    monkeypatch.setattr(oracle, "centralizer_order", lambda cls: len(cls) + 1)
+    with pytest.raises(AssertionError, match=r"no integer index"):
+        oracle._fusion.__wrapped__((1, 1))
+
+
 
 def test_induced_character_refuses_degrees_that_are_not_whole():
     one = trivial_character(1)

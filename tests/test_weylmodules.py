@@ -1,12 +1,12 @@
 import re
 from hashlib import sha256
-from math import comb, factorial, inf, nan
+from math import comb, factorial, inf, nan, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipcount import diagrams
+from unipcount import diagrams, weylmodules
 from unipcount.diagrams import CosetSignature, all_diagrams, coset_signature
 from unipcount.errors import (
     MAX_MEMO,
@@ -15,6 +15,7 @@ from unipcount.errors import (
     ShapeMismatchError,
     UnsupportedGroupError,
 )
+from unipcount.oracle import run_checks
 from unipcount.symreps import irrep_dimension
 from unipcount.weylmodules import (
     ModuleDecomp,
@@ -150,31 +151,72 @@ def _content_sum(nu):
     return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(nu))
 
 
-signatures = st.integers(0, 26).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+def _index(p, q, k):
+    """[S_n : H_k] for H_k = (S_2 wr S_k) x S_{p-k} x S_{q-k}, n = p + q."""
+    return factorial(p + q) // (2**k * factorial(k) * factorial(p - k) * factorial(q - k))
 
 
-@settings(deadline=None)
-@given(signatures)
-def test_sign_induction_module_class_values(signature):
+def _sign_induction_dimension(p, q):
+    return sum(_index(p, q, k) for k in range(min(p, q) + 1))
+
+
+def _assert_class_values(p, q):
     # Two class values of the induced module, computed without any diagram:
-    # H_k = (S_2 wr S_k) x S_{p-k} x S_{q-k} has index n!/(2^k k! (p-k)! (q-k)!),
-    # which is the dimension. At a transposition, the character of nu is
+    # H_k has index n!/(2^k k! (p-k)! (q-k)!), and the sum of these indices
+    # is the dimension. At a transposition, the character of nu is
     # dim(nu) 2c(nu)/(n(n-1)) with c the content sum, and the induced
     # character is the index times the inducing character summed over the
     # transpositions of H_k, over all C(n, 2) of them: +1 for each of the k
     # pair swaps, -1 for each transposition of S_{p-k} or S_{q-k}. Both
-    # sides below are that value times C(n, 2).
-    p, n = signature
-    q = n - p
+    # sides below are that value times C(n, 2). irrep_dimension is the
+    # hook-length formula and shares no code with the Pieri reader.
     module = sign_induction_module(p, q)
-    index = [
-        factorial(n) // (2**k * factorial(k) * factorial(p - k) * factorial(q - k))
-        for k in range(min(p, q) + 1)
-    ]
-    assert module.dimension() == sum(index)
+    assert module.dimension() == _sign_induction_dimension(p, q), (p, q)
+    transposition = sum(
+        _index(p, q, k) * (k - comb(p - k, 2) - comb(q - k, 2)) for k in range(min(p, q) + 1)
+    )
     assert sum(
         m * irrep_dimension(nu) * _content_sum(nu) for (nu,), m in module.mults.items()
-    ) == sum(h * (k - comb(p - k, 2) - comb(q - k, 2)) for k, h in enumerate(index))
+    ) == transposition, (p, q)
+
+
+def test_sign_induction_module_class_values():
+    # Every (p, q) with p + q <= 26.
+    for n in range(27):
+        for p in range(n + 1):
+            _assert_class_values(p, n - p)
+
+
+@settings(deadline=None, max_examples=3)
+@given(st.integers(27, 40).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_sign_induction_module_class_values_past_n_26(signature):
+    # One random (p, q) with 27 <= p + q <= 40. A first module of size n
+    # reads every one of the p(n) labels, p(40) = 37,338 of them: about a
+    # second at n = 40 on a 2-vCPU host under Python 3.11, so few examples.
+    p, n = signature
+    _assert_class_values(p, n - p)
+
+
+def test_coh_dimensions_are_sums_over_their_blocks():
+    # The block summand with its matchings factor of degree r is the
+    # matchings module of rank r/2, of dimension (r - 1)!!, times the sign
+    # induction at (p - r/2, q - r/2), and the zero module when r is odd or
+    # min(p, q) < r/2; the zero blocks are summed too. su adds two diagonal
+    # summands, of dimension p! each, exactly when p = q = n_h = n_0.
+    def block(p, q, r):
+        if r % 2 or min(p, q) < r // 2:
+            return 0
+        return prod(range(r - 1, 0, -2)) * _sign_induction_dimension(p - r // 2, q - r // 2)
+
+    for n in range(17):
+        for n_h in range(n + 1):
+            sig = CosetSignature(n_h, n - n_h)
+            for p in range(n + 1):
+                q = n - p
+                blocks = block(p, q, n_h) + block(p, q, n - n_h)
+                assert coh_u_cover(p, q, sig).dimension() == blocks, (p, q, sig)
+                diagonals = 2 * factorial(p) if p == q == n_h == n - n_h else 0
+                assert coh_su(p, q, sig).dimension() == blocks + diagonals, (p, q, sig)
 
 
 def test_diagonal_module_small():
@@ -213,6 +255,53 @@ def test_the_zero_block_cache_is_bounded(block):
         assert block.cache_info().currsize == bound
     finally:
         block.cache_clear()
+
+
+@pytest.mark.parametrize("block", [block_matchings_first, block_matchings_second])
+def test_a_zero_block_is_the_zero_module_of_its_shape(block):
+    # The shape is the tuple of ints the block was called with, as for a
+    # block that is not zero, and a zero block carries no parts.
+    for n in range(9):
+        for p in range(n + 1):
+            for r in range(n + 1):
+                module = block(p, n - p, r)
+                shape = (r, n - r) if block is block_matchings_first else (n - r, r)
+                assert module.shape == shape and all(type(s) is int for s in module.shape)
+                if r % 2 or min(p, n - p) < r // 2:
+                    assert module == ModuleDecomp(shape) and module.parts == {}
+
+
+@pytest.mark.parametrize("block", [block_matchings_first, block_matchings_second])
+@pytest.mark.parametrize("p, q, r", [(0, 0, 2), (1, 1, 3), (1, 1, 4), (1, 1, -1), (1, 1, -2)])
+def test_a_block_degree_outside_the_signature_is_refused(block, p, q, r):
+    with pytest.raises(ShapeMismatchError, match=rf"^a block degree must lie in 0\.\.{p + q}, got {r}$"):
+        block(p, q, r)
+
+
+def _clear_module_caches():
+    for cached in vars(weylmodules).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+
+
+def test_the_engine_builds_and_reads_no_module_through_the_checks_for_outside_input(monkeypatch):
+    # ModuleDecomp(...), from_json_obj and multiplicity check outside input.
+    # Every module the engine builds, zero blocks included, goes through
+    # _built, and verify reads the cell's entry off mults. The caches are
+    # emptied first, so every block is built again here, and afterwards, so
+    # later tests do not carry them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine went through a check meant for outside input")
+
+    _clear_module_caches()
+    monkeypatch.setattr(ModuleDecomp, "__init__", refuse)
+    monkeypatch.setattr(ModuleDecomp, "multiplicity", refuse)
+    try:
+        assert sum(1 for _ in _coh_modules(8)) == 660
+        report = run_checks(6)
+    finally:
+        _clear_module_caches()
+    assert [entry for entry in report if not entry["pass"]] == []
 
 
 def test_block_examples():
