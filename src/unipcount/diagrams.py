@@ -6,12 +6,12 @@ All values are immutable; a diagram is a weakly decreasing tuple of positive
 row lengths, with () the empty diagram.
 """
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, repeat, starmap
 from operator import lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import MAX_MEMO, MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, whole_numbers
+from .errors import MAX_MEMO, MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, _checked_cache, whole_numbers
 
 Diagram = tuple[int, ...]
 
@@ -55,10 +55,11 @@ def transpose(d: Diagram) -> Diagram:
     return transposed_rows(*row_profile(d))
 
 
-@cache
+@_checked_cache()
 def all_diagrams(n: int) -> tuple[Diagram, ...]:
-    """All partitions of n, in decreasing lexicographic order, for
-    0 <= n <= MAX_PARTITIONED."""
+    """All partitions of n, in decreasing lexicographic order, for whole
+    0 <= n <= MAX_PARTITIONED; 4.0 coerces to 4, as in character_table."""
+    (n,) = whole_numbers((n,), InvalidPartitionError, "cannot partition a total that is not a whole number")
     if n < 0:
         raise InvalidPartitionError(f"cannot partition a negative total: {n}")
     if n > MAX_PARTITIONED:

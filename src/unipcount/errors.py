@@ -1,5 +1,8 @@
 """Exception types, the size bounds behind SizeBoundError, the bound of the
-engine's memos, and the whole-number test shared across the engine."""
+engine's memos, and the whole-number test and the memo for self-checking
+functions that the engine shares."""
+
+from functools import lru_cache, update_wrapper
 
 
 class EngineError(Exception):
@@ -63,3 +66,24 @@ def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]
         except (TypeError, ValueError, OverflowError):
             break
     raise error(f"{what}, got {v!r}")
+
+
+def _checked_cache(maxsize: int | None = None):
+    """lru_cache(maxsize) for a function that checks its own arguments: a call
+    the cache cannot hash, such as f([1]), is checked, and refused, uncached
+    rather than failing on a bare TypeError. A refusal is never cached."""
+
+    def decorate(build):
+        memo = lru_cache(maxsize)(build)
+
+        def call(*args):
+            try:
+                return memo(*args)
+            except TypeError:  # an unhashable argument: checked below, uncached
+                pass
+            return build(*args)
+
+        call.cache_info, call.cache_clear = memo.cache_info, memo.cache_clear
+        return update_wrapper(call, build)
+
+    return decorate

@@ -6,7 +6,7 @@ first class, carrying the empty diagram as their only label. The zero module
 keeps its shape, so sums stay total on matching shapes.
 """
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from math import prod
 from operator import sub
@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatchError,
     SizeBoundError,
     UnsupportedGroupError,
+    _checked_cache,
     whole_numbers,
 )
 from .symreps import irrep_dimension
@@ -157,7 +158,29 @@ def _built(shape: tuple[int, ...], mults: dict[ModuleKey, int]) -> ModuleDecomp:
     return module
 
 
-@cache
+def _degrees(pq: tuple, degrees: Iterable[int], coset: bool = False) -> tuple[int, ...]:
+    """The module layer's one degree rule, which every public builder runs before it reads
+    an argument. It returns pq, (p, q) or (), then the degrees or ranks, as whole_numbers
+    ints. It refuses p or q below 0; with coset, degrees that are not a pair (n_h, n_0); and
+    with p and q, a coset whose sum is not p + q or a degree outside 0..p+q."""
+    # Exact ints, which the engine passes, skip whole_numbers.
+    whole = type(degrees) in (tuple, CosetSignature) and {*map(type, pq + degrees)} == {int}
+    if pq:
+        p, q = pq = pq if whole else whole_numbers(pq, UnsupportedGroupError, "p and q must be whole numbers")
+        if p < 0 or q < 0:
+            raise UnsupportedGroupError(f"p and q must be non-negative, got {pq}")
+    ints = degrees if whole else whole_numbers(degrees, ShapeMismatchError, "a degree or rank must be a whole number")
+    if coset and len(ints) != 2:
+        raise ShapeMismatchError(f"a coset signature is a pair (n_h, n_0), got {degrees!r}")
+    if pq and coset and sum(ints) != p + q:
+        raise DegreeMismatchError(f"p + q = {p + q} does not match coset degree {sum(ints)}")
+    for r in ints if pq else ():
+        if not 0 <= r <= p + q:
+            raise ShapeMismatchError(f"a block degree must lie in 0..{p + q}, got {r}")
+    return pq + ints
+
+
+@_checked_cache()
 def matchings_module(r: int) -> ModuleDecomp:
     """Permutation module of S_{2r} on perfect matchings.
 
@@ -165,23 +188,19 @@ def matchings_module(r: int) -> ModuleDecomp:
     fixed matching; its decomposition is every partition of 2r with all rows
     even, multiplicity one (cross-checked against the matchings oracle).
     """
+    (r,) = _degrees((), (r,))
     return _built(
         (2 * r,),
         {(nu,): 1 for nu in all_diagrams(2 * r) if all(p % 2 == 0 for p in nu)},
     )
 
 
-def _check_signature(p: int, q: int) -> None:
-    if p < 0 or q < 0:
-        raise UnsupportedGroupError(f"p and q must be non-negative, got ({p}, {q})")
-
-
-@cache
+@_checked_cache()
 def sign_induction_module(p: int, q: int) -> ModuleDecomp:
     """Sum over 0 <= k <= min(p, q) of the induction to S_{p+q} of the
     matchings module of rank k times sign on S_{p-k} times sign on S_{q-k},
     read label by label off _pieri_count of its _strip_fillings."""
-    _check_signature(p, q)
+    p, q = _degrees((p, q), ())
     mults = {(nu,): m for nu in all_diagrams(p + q) if (m := _pieri_count(_strip_fillings(nu), p - q))}
     return _built((p + q,), mults)
 
@@ -256,53 +275,43 @@ def _pieri_count(record: Iterable[tuple[tuple[int, ...], int]], d: int) -> int:
     return count
 
 
-@cache
+@_checked_cache()
 def diagonal_module(r: int) -> ModuleDecomp:
     """Sum of label-pair diagonals over S_r x S_r: one copy of (a, a) for
     every label a of size r."""
+    (r,) = _degrees((), (r,))
     return _built((r, r), {(lam, lam): 1 for lam in all_diagrams(r)})
 
 
 def _block_signature(p: int, q: int, r: int) -> tuple[int, int] | None:
     """(p, q) of the sign induction beside a matchings factor of degree r in 0..p+q
     in a block summand, or None when r is odd or min(p, q) < r/2 (a zero block)."""
-    _check_signature(p, q)
-    if not 0 <= r <= p + q:
-        raise ShapeMismatchError(f"a block degree must lie in 0..{p + q}, got {r}")
     if r % 2 or min(p, q) < r // 2:
         return None
     return p - r // 2, q - r // 2
 
 
-@lru_cache(maxsize=MAX_MEMO)
+@_checked_cache(MAX_MEMO)
 def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     """Matchings module on a degree-r first factor tensored with the sign
     inductions on the remaining degree; the zero module of shape
     (r, p+q-r) when r is odd or min(p, q) < r/2."""
+    p, q, r = _degrees((p, q), (r,))
     rest = _block_signature(p, q, r)
     if rest is None:
         return _built((r, p + q - r), {})
     return matchings_module(r // 2).tensor(sign_induction_module(*rest))
 
 
-@lru_cache(maxsize=MAX_MEMO)
+@_checked_cache(MAX_MEMO)
 def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     """Mirror of block_matchings_first, with the matchings factor second and
     shape (p+q-r, r)."""
+    p, q, r = _degrees((p, q), (r,))
     rest = _block_signature(p, q, r)
     if rest is None:
         return _built((p + q - r, r), {})
     return sign_induction_module(*rest).tensor(matchings_module(r // 2))
-
-
-def _blocks(p: int, q: int, sig: CosetSignature) -> tuple[ModuleDecomp, ModuleDecomp]:
-    """The two block summands of the unitary modules at the coset."""
-    n_h, n_0 = sig
-    if p + q != n_h + n_0:
-        raise DegreeMismatchError(
-            f"p + q = {p + q} does not match coset degree {n_h + n_0}"
-        )
-    return block_matchings_first(p, q, n_h), block_matchings_second(p, q, n_0)
 
 
 def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
@@ -313,7 +322,8 @@ def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
     ``genuine`` and ``non_genuine``; which block is which flips with the
     parity of p + q.
     """
-    first, second = _blocks(p, q, sig)
+    p, q, n_h, n_0 = _degrees((p, q), sig, coset=True)
+    first, second = block_matchings_first(p, q, n_h), block_matchings_second(p, q, n_0)
     if (p + q) % 2:
         parts = {"genuine": second, "non_genuine": first}
     else:
@@ -326,9 +336,9 @@ def coh_u_cover(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
 def coh_su(p: int, q: int, sig: CosetSignature) -> ModuleDecomp:
     """Coherent continuation module of SU(p, q): the two block summands,
     plus two diagonal summands exactly when p = q = n_h = n_0."""
-    first, second = _blocks(p, q, sig)
-    total = first + second
-    if p == q == sig[0] == sig[1]:
+    p, q, n_h, n_0 = _degrees((p, q), sig, coset=True)
+    total = block_matchings_first(p, q, n_h) + block_matchings_second(p, q, n_0)
+    if p == q == n_h == n_0:
         diag = diagonal_module(p)
         total = total + diag + diag
     return total
@@ -338,7 +348,7 @@ def coh_gl_complex(sig: CosetSignature) -> ModuleDecomp:
     """Coherent continuation module of the complex general linear group:
     the regular representation of S_{n_h} x S_{n_0}, i.e. one copy of
     (a, b, a, b) for every pair of labels."""
-    n_h, n_0 = sig
+    n_h, n_0 = _degrees((), sig, coset=True)
     mults = {
         (a, b, a, b): 1 for a in all_diagrams(n_h) for b in all_diagrams(n_0)
     }
@@ -349,8 +359,8 @@ def coh_sl_complex(sig: CosetSignature) -> ModuleDecomp:
     """Coherent continuation module of the complex special linear group:
     the general-linear module, plus one swapped copy (a, b, b, a) per label
     pair when n_h = n_0 (restriction is an isomorphism otherwise)."""
-    n_h, n_0 = sig
-    out = coh_gl_complex(sig)
+    n_h, n_0 = _degrees((), sig, coset=True)
+    out = coh_gl_complex((n_h, n_0))
     if n_h == n_0:
         for a, b, _, _ in list(out.mults):  # coh_gl_complex is not cached: its fresh dict takes the copies
             out.mults[a, b, b, a] = out.mults.get((a, b, b, a), 0) + 1

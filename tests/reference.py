@@ -5,7 +5,7 @@ from math import prod
 
 from unipcount.diagrams import all_diagrams, row_profile
 from unipcount.symreps import ClassFunction, character_table
-from unipcount.weylmodules import _block_signature, sign_induction_module
+from unipcount.weylmodules import sign_induction_module
 
 
 def chi(lam, mu, table=None):
@@ -48,12 +48,12 @@ def sign_induction_entry(nu, p, q):
 # before it kept one record per orbit. The multiplicity of (matched, other)
 # in block_matchings_first(p, q, r), without building that block: the
 # matchings factor holds exactly the diagrams with all rows even, once each,
-# so this is the sign-induction entry of the other factor, or 0.
+# so this is the sign-induction entry of the other factor at (p - r/2,
+# q - r/2), or 0. The block is zero when r is odd or min(p, q) < r/2.
 def block_multiplicity(p, q, r, matched, other):
-    rest = _block_signature(p, q, r)
-    if rest is None or any(row % 2 for row in matched):
+    if r % 2 or min(p, q) < r // 2 or any(row % 2 for row in matched):
         return 0
-    return sign_induction_entry(other, *rest)
+    return sign_induction_entry(other, p - r // 2, q - r // 2)
 
 
 # Reference: the parity split as the engine made it before parity_halves

@@ -30,6 +30,8 @@ from unipcount.weylmodules import (
     sign_induction_module,
 )
 
+from test_package_surface import NOT_WHOLE
+
 
 def md(shape, mults):
     return ModuleDecomp(shape, mults)
@@ -360,6 +362,118 @@ def test_builders_reject_negative_signature(build, args):
     # rather than return a zero module
     with pytest.raises(UnsupportedGroupError):
         build(*args)
+
+
+# The degree rule's guard: every public builder of weylmodules and
+# all_diagrams, each with whole arguments it accepts, spread out as the
+# scalars it reads, and the class that refuses each scalar when it is not
+# whole: the README's UnsupportedGroupError for p and q, ShapeMismatchError
+# for a degree, rank or coset-signature entry, InvalidPartitionError for n.
+P, D = UnsupportedGroupError, ShapeMismatchError
+GUARDED = {
+    "matchings_module": (matchings_module, (2,), (D,)),
+    "diagonal_module": (diagonal_module, (2,), (D,)),
+    "sign_induction_module": (sign_induction_module, (2, 1), (P, P)),
+    "block_matchings_first": (block_matchings_first, (2, 2, 2), (P, P, D)),
+    "block_matchings_second": (block_matchings_second, (2, 2, 2), (P, P, D)),
+    "coh_su": (lambda p, q, n_h, n_0: coh_su(p, q, (n_h, n_0)), (2, 2, 2, 2), (P, P, D, D)),
+    "coh_u_cover": (lambda p, q, n_h, n_0: coh_u_cover(p, q, (n_h, n_0)), (2, 1, 2, 1), (P, P, D, D)),
+    "coh_gl_complex": (lambda n_h, n_0: coh_gl_complex((n_h, n_0)), (2, 1), (D, D)),
+    "coh_sl_complex": (lambda n_h, n_0: coh_sl_complex((n_h, n_0)), (2, 2), (D, D)),
+    "all_diagrams": (all_diagrams, (4,), (InvalidPartitionError,)),
+}
+COSET_TAKERS = {
+    "coh_su": lambda sig: coh_su(2, 2, sig),
+    "coh_u_cover": lambda sig: coh_u_cover(2, 1, sig),
+    "coh_gl_complex": coh_gl_complex,
+    "coh_sl_complex": coh_sl_complex,
+}
+
+
+def _with(args, i, value):
+    return args[:i] + (value,) + args[i + 1:]
+
+
+def test_every_public_builder_is_guarded():
+    # A new public builder fails here until it is added to GUARDED.
+    public = {
+        name for name, obj in vars(weylmodules).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == weylmodules.__name__ and obj is not ModuleDecomp
+    }
+    assert public == set(GUARDED) - {"all_diagrams"}
+    assert set(COSET_TAKERS) == {name for name in public if name.startswith("coh_")}
+
+
+@pytest.mark.parametrize(
+    "call, args, i, error, bad",
+    [
+        pytest.param(call, args, i, errors[i], value, id=f"{name}-{i}-{value_id}")
+        for name, (call, args, errors) in GUARDED.items()
+        for i in range(len(args))
+        for value_id, value in NOT_WHOLE.items()
+    ],
+)
+def test_a_builder_refuses_a_value_that_is_not_whole(call, args, i, error, bad):
+    with pytest.raises(error, match=re.escape(f"got {bad!r}") + "$") as caught:
+        call(*_with(args, i, bad))
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("build", COSET_TAKERS.values(), ids=COSET_TAKERS)
+@pytest.mark.parametrize(
+    "sig", [*NOT_WHOLE.values(), (2, 1, 0), (3,), ()], ids=[*NOT_WHOLE, "triple", "single", "empty"]
+)
+def test_a_coset_signature_that_is_not_a_pair_of_whole_numbers_is_refused(build, sig):
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"got {sig!r}") + "$") as caught:
+        build(sig)
+    assert type(caught.value) is ShapeMismatchError
+
+
+@pytest.mark.parametrize(
+    "call, args, i",
+    [
+        pytest.param(call, args, i, id=f"{name}-{i}")
+        for name, (call, args, _) in GUARDED.items()
+        for i in range(len(args))
+    ],
+)
+def test_a_whole_float_builds_what_the_int_builds(call, args, i):
+    # Cold caches, so the float call is the one that builds; the int call may
+    # then hit its memo entry, since (2.0, 1) == (2, 1).
+    _clear_module_caches()
+    all_diagrams.cache_clear()
+    built = call(*_with(args, i, float(args[i])))
+    shape = built.shape if isinstance(built, ModuleDecomp) else tuple(map(sum, built))
+    assert all(type(s) is int for s in shape)
+    assert built == call(*args)
+
+
+def test_the_calls_that_raised_a_bare_error_refuse_or_build_with_ints():
+    for call, error in [
+        (lambda: matchings_module(1.5), ShapeMismatchError),
+        (lambda: sign_induction_module(2, "a"), UnsupportedGroupError),
+        (lambda: block_matchings_first(1, 1, "a"), ShapeMismatchError),
+        (lambda: coh_su(1, 1, (2, 0, 0)), ShapeMismatchError),
+        (lambda: all_diagrams(2.5), InvalidPartitionError),
+    ]:
+        with pytest.raises(error):
+            call()
+    assert block_matchings_first(4.0, 2, 2) == block_matchings_first(4, 2, 2)
+    assert block_matchings_first(2.0, 0, 2).shape == (2, 0)
+    assert diagonal_module(2.0) == diagonal_module(2)
+    assert coh_gl_complex((2.0, 1)) == coh_gl_complex((2, 1))
+    assert coh_su(2, 2, (2.0, 2)) == coh_su(2, 2, (2, 2))
+    all_diagrams(4)
+    assert all_diagrams(4.0) == all_diagrams(4)
+
+
+def test_a_coset_of_the_wrong_degree_is_refused_before_its_range():
+    # (3, -1) sums to p + q = 2 and so is read against 0..2; (3, 0) does not.
+    with pytest.raises(DegreeMismatchError, match=r"^p \+ q = 2 does not match coset degree 3$"):
+        coh_su(1, 1, (3, 0))
+    with pytest.raises(ShapeMismatchError, match=r"^a block degree must lie in 0\.\.2, got 3$"):
+        coh_u_cover(1, 1, (3, -1))
 
 
 def test_coh_su_examples():
