@@ -1,5 +1,5 @@
 """Partitions viewed as Young diagrams, and the orbit-level combinatorics
-built on them: transpose, row profiles and their one-pass parity halves,
+built on them: transpose, row profiles and the parity halves of an orbit,
 and the coset signature attached to a nilpotent orbit.
 
 All values are immutable; a diagram is a weakly decreasing tuple of positive
@@ -7,8 +7,8 @@ row lengths, with () the empty diagram.
 """
 
 from functools import lru_cache
-from itertools import accumulate, chain, repeat, starmap
-from operator import lt, sub
+from itertools import accumulate, chain, groupby, repeat, starmap
+from operator import countOf, lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MAX_MEMO, MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, _checked_cache, whole_numbers
@@ -84,16 +84,13 @@ class RowProfile(NamedTuple):
 
 
 def row_profile(d: Diagram) -> RowProfile:
-    """Distinct row lengths of d, strictly decreasing, with multiplicities."""
+    """Distinct row lengths of d, strictly decreasing, with multiplicities counted run by run in C."""
     lengths: list[int] = []
     mults: list[int] = []
-    for p in d:
-        if lengths and lengths[-1] == p:
-            mults[-1] += 1
-        else:
-            lengths.append(p)
-            mults.append(1)
-    return RowProfile(tuple(lengths), tuple(mults))
+    for length, run in groupby(d):
+        lengths.append(length)
+        mults.append(countOf(run, length))
+    return tuple.__new__(RowProfile, (tuple(lengths), tuple(mults)))
 
 
 def transposed_blocks(lengths: Sequence[int], mults: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -111,12 +108,13 @@ def transposed_rows(lengths: Sequence[int], mults: Sequence[int]) -> Diagram:
 
 
 def parity_halves(d: Diagram) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]], list[bool]]:
-    """row_profile(d) filed by parity in one pass: (lengths, mults, odd_mult), each indexed
-    by row parity i (0 even, 1 odd), where lengths[i] and mults[i] profile the rows of
-    parity i and odd_mult[i] is whether one of those multiplicities is odd."""
+    """The row profile of d filed by parity run by run, with no RowProfile built: (lengths, mults,
+    odd_mult), each indexed by row parity i (0 even, 1 odd), where lengths[i] and mults[i] profile
+    the rows of parity i and odd_mult[i] is whether one of those multiplicities is odd."""
     lengths, mults, odd_mult = ([], []), ([], []), [False, False]
-    for length, m in zip(*row_profile(d)):
+    for length, run in groupby(d):
         half = length % 2
+        m = countOf(run, length)
         lengths[half].append(length)
         mults[half].append(m)
         if m % 2:

@@ -38,8 +38,18 @@ TABLE_BOUND = 10
 _SU_AND_COVER = (unipotent.GroupKind.SU, unipotent.GroupKind.U_COVER)
 
 
+def _matchings_rank(r: int) -> int:
+    """r as an int when it is a whole number >= 0; DegreeMismatchError otherwise."""
+    what = "a matchings rank must be a whole number >= 0"
+    (rank,) = whole_numbers((r,), DegreeMismatchError, what)
+    if rank < 0:
+        raise DegreeMismatchError(f"{what}, got {r!r}")
+    return rank
+
+
 def all_matchings(r: int) -> list[frozenset[frozenset[int]]]:
     """Every perfect matching of {1, ..., 2r}, as a frozenset of pairs."""
+    r = _matchings_rank(r)
 
     def build(items: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
         if not items:
@@ -59,7 +69,7 @@ def class_representative(cls: Diagram) -> dict[int, int]:
     cycles laid out consecutively."""
     perm: dict[int, int] = {}
     start = 1
-    for part in cls:
+    for part in check_diagram(cls):
         cycle = list(range(start, start + part))
         for i, x in enumerate(cycle):
             perm[x] = cycle[(i + 1) % part]
@@ -70,6 +80,7 @@ def class_representative(cls: Diagram) -> dict[int, int]:
 def matchings_character(r: int) -> ClassFunction:
     """Permutation character of S_{2r} on perfect matchings, by explicit
     fixed-point counting on one representative per class."""
+    r = _matchings_rank(r)
     if r > MATCHINGS_BOUND:
         raise OracleBoundError(f"matchings oracle bound exceeded: r = {r} > {MATCHINGS_BOUND}")
     matchings = all_matchings(r)

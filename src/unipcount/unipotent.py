@@ -89,6 +89,8 @@ def _checked_group(kind, n, p, q) -> GroupSpec:
         kind, minimum = _KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise UnsupportedGroupError(f"unknown group kind {kind!r}") from None
+    if n is not None:
+        (n,) = whole_numbers((n,), UnsupportedGroupError, f"kind {kind.value} takes a whole n")
     if kind in HERMITIAN_KINDS:
         if p is None or q is None:
             raise UnsupportedGroupError(f"kind {kind.value} requires p and q")
@@ -104,7 +106,6 @@ def _checked_group(kind, n, p, q) -> GroupSpec:
         raise UnsupportedGroupError(f"kind {kind.value} does not take p and q")
     if n is None:
         raise UnsupportedGroupError(f"kind {kind.value} requires n")
-    (n,) = whole_numbers((n,), UnsupportedGroupError, f"kind {kind.value} takes a whole n")
     if n < minimum:
         raise UnsupportedGroupError(f"kind {kind.value} requires n >= {minimum}, got {n}")
     if kind in QUATERNIONIC_KINDS and n % 2:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import lt
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import reference
 from unipcount import diagrams, unipotent
 from unipcount.diagrams import (
+    RowProfile,
     all_diagrams,
     check_diagram,
     coset_signature,
@@ -23,7 +25,6 @@ from unipcount.diagrams import (
 from unipcount.errors import (
     MAX_MEMO,
     MAX_PARTITIONED,
-    DegreeMismatchError,
     EngineError,
     InvalidPartitionError,
     SizeBoundError,
@@ -152,6 +153,22 @@ def test_parity_halves_match_the_reference_split_through_n_22():
         assert (lengths, mults, odd_mult) == reference.parity_halves(d), d
         even, odd = (tuple(chain.from_iterable(map(repeat, *half))) for half in zip(lengths, mults))
         assert reference.row_union(even, odd) == d
+
+
+def test_long_runs_of_equal_rows_are_counted_with_nothing_allocated_per_row():
+    # A million rows in three runs: a list per run would take megabytes.
+    d = (3,) * 500000 + (2,) * 300000 + (1,) * 200000
+    tracemalloc.start()
+    try:
+        halves = parity_halves(d)
+        profile = row_profile(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert halves == (([2], [3, 1]), ([300000], [500000, 200000]), [False, False])
+    assert profile == RowProfile((3, 2, 1), (500000, 300000, 200000))
+    assert type(profile) is RowProfile
+    assert peak < 64 * 1024
 
 
 def test_transposed_rows_of_each_half_match_the_reference_through_n_16():
@@ -371,7 +388,7 @@ def test_unhashable_inputs_are_checked_uncached():
         (make_group, ("su", None, [1], 1), UnsupportedGroupError, "kind su takes whole p, q, got [1]"),
         (make_group, ("gl-r", [3]), UnsupportedGroupError, "kind gl-r takes a whole n, got [3]"),
         (make_group, (["su"], 3), UnsupportedGroupError, "unknown group kind ['su']"),
-        (make_group, ("su", [2], 1, 1), DegreeMismatchError, "n = [2] does not match p + q = 2"),
+        (make_group, ("su", [2], 1, 1), UnsupportedGroupError, "kind su takes a whole n, got [2]"),
     ]:
         with pytest.raises(error) as caught:
             build(*args)

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from functools import cache
 from hashlib import sha256
@@ -11,7 +12,7 @@ import pytest
 from reference import chi, irreducible_character
 from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, row_profile
-from unipcount.errors import DegreeMismatchError, OracleBoundError, SizeBoundError
+from unipcount.errors import DegreeMismatchError, InvalidPartitionError, OracleBoundError, SizeBoundError
 from unipcount.oracle import (
     all_matchings,
     class_representative,
@@ -44,6 +45,28 @@ def test_all_matchings_counts():
 def test_class_representative_has_right_type():
     perm = class_representative((3, 1))
     assert perm == {1: 2, 2: 3, 3: 1, 4: 4}
+
+
+@pytest.mark.parametrize("call", [all_matchings, matchings_character])
+@pytest.mark.parametrize("r", [1.5, "a", "1", float("nan"), None, [1], -1])
+def test_a_matchings_rank_that_is_not_a_whole_number_at_least_0_is_refused(call, r):
+    message = f"a matchings rank must be a whole number >= 0, got {r!r}"
+    with pytest.raises(DegreeMismatchError, match=re.escape(message) + "$"):
+        call(r)
+
+
+@pytest.mark.parametrize(
+    "cls,got", [((2.5,), "2.5"), ((3, "1"), "'1'"), ((1, 3), "(1, 3)"), ((2, 0), "(2, 0)"), (5, "5")]
+)
+def test_a_class_that_is_not_a_diagram_is_refused(cls, got):
+    with pytest.raises(InvalidPartitionError, match=re.escape(got) + "$"):
+        class_representative(cls)
+
+
+def test_whole_number_ranks_and_classes_coerce():
+    assert all_matchings(2.0) == all_matchings(2)
+    assert matchings_character(True) == matchings_character(1)
+    assert class_representative((3.0, 1)) == class_representative((3, 1))
 
 
 def test_matchings_character_examples():

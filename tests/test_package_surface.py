@@ -114,13 +114,15 @@ WRONG_TYPE = [
 
 # Every boundary that takes whole numbers from outside, each given one bad
 # value as (the entry after) a whole one: (id, call, the README table's
-# error). For make_group, None means the argument is absent, which is
-# refused with its own message.
+# error). For make_group and GroupSpec, None means the argument is absent,
+# which is refused with its own message, or taken as p + q for n.
 WHOLE_NUMBER_BOUNDARIES = [
     ("check_diagram", lambda x: check_diagram((2, x)), InvalidPartitionError),
     ("OrbitSpec", lambda x: OrbitSpec((2, x)), InvalidPartitionError),
     ("make_group-n", lambda x: make_group("gl-r", n=x), UnsupportedGroupError),
     ("make_group-pq", lambda x: make_group("su", p=1, q=x), UnsupportedGroupError),
+    *((f"{build.__name__}-{kind}-n", lambda x, build=build, kind=kind: build(kind, x, 1, 1), UnsupportedGroupError)
+      for build in (make_group, GroupSpec) for kind in ("su", "u-tilde")),
     ("character_table", character_table, InvalidPartitionError),
     ("ModuleDecomp-shape", lambda x: ModuleDecomp((2, x)), ShapeMismatchError),
     ("ModuleDecomp-multiplicity", lambda x: ModuleDecomp((2,), {((2,),): x}), ShapeMismatchError),
@@ -164,9 +166,11 @@ def test_every_exported_callable_refuses_bad_values_with_an_engine_error(call, e
         *(pytest.param(call, value, error, id=f"{name}-{value_id}")
           for name, call, error in WHOLE_NUMBER_BOUNDARIES
           for value_id, value in NOT_WHOLE.items()
-          if not (value is None and name.startswith("make_group"))),
+          if not (value is None and name.startswith(("make_group", "GroupSpec")))),
         pytest.param(lambda x: induced_character(x, ()), 5, DegreeMismatchError,
                      id="induced_character-not-a-sequence"),
+        # p + q = 2: the right degree in the wrong type is not whole either.
+        pytest.param(lambda x: make_group("su", x, 1, 1), "2", UnsupportedGroupError, id="make_group-su-n-str"),
     ],
 )
 def test_every_whole_number_boundary_names_the_first_entry_that_is_not_whole(call, bad, error):

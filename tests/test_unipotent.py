@@ -44,6 +44,7 @@ def _twist(a, mults):
 
 def test_make_group_validation():
     assert make_group("su", p=1, q=1).n == 2
+    assert make_group("su", n=2.0, p=1, q=1) == make_group("su", p=1, q=1)
     assert make_group("gl-r", n=1).kind is GroupKind.GL_R
     with pytest.raises(UnsupportedGroupError):
         make_group("sl-r", n=1)
