@@ -6,12 +6,11 @@ All values are immutable; a diagram is a weakly decreasing tuple of positive
 row lengths, with () the empty diagram.
 """
 
-from functools import lru_cache
 from itertools import accumulate, chain, groupby, repeat, starmap
 from operator import countOf, lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import MAX_MEMO, MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, _checked_cache, whole_numbers
+from .errors import MAX_PARTITIONED, InvalidPartitionError, SizeBoundError, _checked_cache, whole_numbers
 
 Diagram = tuple[int, ...]
 
@@ -23,22 +22,16 @@ def check_diagram(d: Iterable[int]) -> Diagram:
 
     Whole numbers such as 2.0 coerce to int; any other entry (2.7, "2") is
     rejected rather than truncated. A process checks each distinct diagram
-    once, up to a bounded cache. A d that is not a sequence is refused.
+    once, through errors._checked_cache. A d that is not a sequence is refused.
     """
     try:
         given = tuple(d)
     except TypeError:
         raise InvalidPartitionError(f"a diagram is a sequence of row lengths, got {d!r}") from None
-    try:
-        return _checked(given)
-    except TypeError:  # an unhashable row: whole_numbers refuses it unless it is whole
-        return _checked(whole_numbers(given, InvalidPartitionError, _NOT_WHOLE))
+    return _checked(given)
 
 
-# Bounded so that a long-lived process fed ever new diagrams stays small. A
-# hit is exact: equal tuples of ints, whole floats and bools hash alike and
-# get the same all-int result. A failed check raises and is not cached.
-@lru_cache(maxsize=MAX_MEMO)
+@_checked_cache
 def _checked(given: tuple) -> Diagram:
     rows = whole_numbers(given, InvalidPartitionError, _NOT_WHOLE)
     # Weakly decreasing rows are positive when the last one is; min is taken
@@ -55,7 +48,7 @@ def transpose(d: Diagram) -> Diagram:
     return transposed_rows(*row_profile(d))
 
 
-@_checked_cache()
+@_checked_cache
 def all_diagrams(n: int) -> tuple[Diagram, ...]:
     """All partitions of n, in decreasing lexicographic order, for whole
     0 <= n <= MAX_PARTITIONED; 4.0 coerces to 4, as in character_table."""

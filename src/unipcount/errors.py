@@ -1,6 +1,7 @@
-"""Exception types, the size bounds behind SizeBoundError, the bound of the
-engine's memos, and the whole-number test and the memo for self-checking
-functions that the engine shares."""
+"""Exception types, the size bounds behind SizeBoundError, and the two input
+decisions the engine shares: whole_numbers, the whole-number test, which hands
+exact ints back as they are, and _checked_cache, the one memo, bounded by
+MAX_MEMO, that checks each distinct input of a self-checking function once."""
 
 from functools import lru_cache, update_wrapper
 
@@ -48,11 +49,14 @@ def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]
     """The entries of given as ints when all are whole numbers: 2.0 and True
     are; 2.7, "2", "x", nan, inf, None and [1] are refused, not truncated, by
     error(f"{what}, got {v!r}") for the first such v, or for given itself
-    when it is not a sequence."""
+    when it is not a sequence. Exact ints, which the engine passes, are
+    handed back untouched in a plain tuple."""
     try:
         entries = tuple(given)
     except TypeError:
         raise error(f"{what}, got {given!r}") from None
+    if {int}.issuperset(map(type, entries)):  # a bool, an IntEnum or 2.0 is coerced below
+        return entries
     try:
         whole = tuple(map(int, entries))
     except (TypeError, ValueError, OverflowError):
@@ -68,22 +72,20 @@ def whole_numbers(given, error: type[EngineError], what: str) -> tuple[int, ...]
     raise error(f"{what}, got {v!r}")
 
 
-def _checked_cache(maxsize: int | None = None):
-    """lru_cache(maxsize) for a function that checks its own arguments: a call
-    the cache cannot hash, such as f([1]), is checked, and refused, uncached
-    rather than failing on a bare TypeError. A refusal is never cached."""
+def _checked_cache(build):
+    """lru_cache(MAX_MEMO) for a function that checks its own arguments, so
+    that each distinct input is checked once: a call the cache cannot hash,
+    such as f([1]), is checked, and refused, uncached rather than failing on a
+    bare TypeError. A refusal raises and is never cached. A hit is exact:
+    equal inputs that hash alike (2.0 and 2, True and 1) get the same result."""
+    memo = lru_cache(MAX_MEMO)(build)
 
-    def decorate(build):
-        memo = lru_cache(maxsize)(build)
+    def call(*args):
+        try:
+            return memo(*args)
+        except TypeError:  # an unhashable argument: checked below, uncached
+            pass
+        return build(*args)
 
-        def call(*args):
-            try:
-                return memo(*args)
-            except TypeError:  # an unhashable argument: checked below, uncached
-                pass
-            return build(*args)
-
-        call.cache_info, call.cache_clear = memo.cache_info, memo.cache_clear
-        return update_wrapper(call, build)
-
-    return decorate
+    call.cache_info, call.cache_clear = memo.cache_info, memo.cache_clear
+    return update_wrapper(call, build)

@@ -27,7 +27,7 @@ from .diagrams import (
     row_profile,
     transpose,
 )
-from .errors import DegreeMismatchError, OracleBoundError, whole_numbers
+from .errors import DegreeMismatchError, InvalidPartitionError, OracleBoundError, whole_numbers
 from .symreps import ClassFunction, centralizer_order, character_table, irrep_dimension
 
 MATCHINGS_BOUND = 4
@@ -222,6 +222,8 @@ def _pairings(n: int, values: Sequence[int]) -> Iterator[tuple[Diagram, int]]:
 def decompose(cf: ClassFunction) -> dict[Diagram, int]:
     """Multiplicity of every irreducible in a class function, by inner
     products; multiplicities must come out integral."""
+    if not isinstance(cf, ClassFunction):
+        raise DegreeMismatchError(f"decompose takes a ClassFunction, got {cf!r}")
     nfact = factorial(cf.degree)
     out = {}
     for lam, pairing in _pairings(cf.degree, _row(cf)):
@@ -236,6 +238,7 @@ def decompose(cf: ClassFunction) -> dict[Diagram, int]:
 def orthogonality_check(n: int) -> bool:
     """Whether both orthogonality relations hold exactly for the degree-n
     character table."""
+    (n,) = whole_numbers((n,), InvalidPartitionError, "cannot partition a total that is not a whole number")
     if n > ORTHOGONALITY_BOUND:
         raise OracleBoundError(f"orthogonality sweep bound exceeded: n = {n} > {ORTHOGONALITY_BOUND}")
     labels = all_diagrams(n)

@@ -116,10 +116,7 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
     n such as 3.0 coerces to 3; any other n that is not a whole number >= 0
     is refused.
     """
-    if type(n) is not int:  # only such an n pays for whole_numbers
-        (n,) = whole_numbers(
-            (n,), InvalidPartitionError, "cannot partition a total that is not a whole number"
-        )
+    (n,) = whole_numbers((n,), InvalidPartitionError, "cannot partition a total that is not a whole number")
     table = _TABLES.get(n)
     on_disk = False
     if cache_dir is not None:

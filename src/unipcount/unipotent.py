@@ -11,7 +11,7 @@ from operator import getitem
 from typing import Iterator, NamedTuple
 
 from .diagrams import Diagram, check_diagram, coset_signature, parity_halves, row_profile, transposed_blocks, transposed_rows
-from .errors import MAX_MEMO, MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, whole_numbers
+from .errors import MAX_MEMO, MAX_ROWS, DegreeMismatchError, InvalidPartitionError, SizeBoundError, UnsupportedGroupError, _checked_cache, whole_numbers
 from .weylmodules import (
     ModuleDecomp,
     _pieri_count,
@@ -70,20 +70,14 @@ def make_group(
     compact signatures are allowed); the other kinds take n, with n >= 2 for
     the special linear kinds and even n for the quaternionic ones. An
     unknown kind, or an n, p or q that is not a whole number, is refused.
-    A process checks each distinct (kind, n, p, q) once, up to a bounded
-    cache, and hands back the same spec for it after that.
+    A process checks each distinct (kind, n, p, q) once, through
+    errors._checked_cache, and hands back the same spec for it after that.
     """
-    try:
-        return _checked_group(kind, n, p, q)
-    except TypeError:  # an unhashable argument: checked, and refused, uncached
-        return _checked_group.__wrapped__(kind, n, p, q)
+    return _checked_group(kind, n, p, q)
 
 
-# Bounded so that a long-lived process fed ever new inputs stays small. As
-# with diagrams._checked, a hit is exact: equal inputs that hash alike (2.0
-# and 2, True and 1, "su" and GroupKind.SU) get the same all-int spec. A
-# refused input raises and is not cached.
-@lru_cache(maxsize=MAX_MEMO)
+# "su" and GroupKind.SU hash alike, so they share one entry and one spec.
+@_checked_cache
 def _checked_group(kind, n, p, q) -> GroupSpec:
     try:
         kind, minimum = _KINDS[kind]
@@ -132,15 +126,11 @@ class OrbitSpec(_Orbit):
     def __new__(cls, first: Diagram, second: Diagram | None = None) -> "OrbitSpec":
         # Only tuples are keys: a check consumes an iterator, which no later call hits.
         if type(first) is tuple and (second is None or type(second) is tuple):
-            try:
-                return _checked_orbit(first, second)
-            except TypeError:  # an unhashable row: checked, and refused, uncached
-                pass
+            return _checked_orbit(first, second)
         return _checked_orbit.__wrapped__(first, second)
 
 
-# Bounded and exact on a hit, as _checked_group is.
-@lru_cache(maxsize=MAX_MEMO)
+@_checked_cache
 def _checked_orbit(first, second) -> OrbitSpec:
     return tuple.__new__(OrbitSpec, (check_diagram(first), None if second is None else check_diagram(second)))
 

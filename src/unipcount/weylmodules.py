@@ -21,7 +21,6 @@ from .diagrams import (
     row_profile,
 )
 from .errors import (
-    MAX_MEMO,
     MAX_ROWS,
     DegreeMismatchError,
     ShapeMismatchError,
@@ -111,6 +110,8 @@ class ModuleDecomp:
 
     def tensor(self, other: "ModuleDecomp") -> "ModuleDecomp":
         """External product: shapes concatenate, multiplicities multiply."""
+        if not isinstance(other, ModuleDecomp):
+            raise ShapeMismatchError(f"a module tensors only with a module, got {other!r}")
         out = {}
         for k1, m1 in self.mults.items():
             for k2, m2 in other.mults.items():
@@ -163,13 +164,11 @@ def _degrees(pq: tuple, degrees: Iterable[int], coset: bool = False) -> tuple[in
     an argument. It returns pq, (p, q) or (), then the degrees or ranks, as whole_numbers
     ints. It refuses p or q below 0; with coset, degrees that are not a pair (n_h, n_0); and
     with p and q, a coset whose sum is not p + q or a degree outside 0..p+q."""
-    # Exact ints, which the engine passes, skip whole_numbers.
-    whole = type(degrees) in (tuple, CosetSignature) and {*map(type, pq + degrees)} == {int}
     if pq:
-        p, q = pq = pq if whole else whole_numbers(pq, UnsupportedGroupError, "p and q must be whole numbers")
+        p, q = pq = whole_numbers(pq, UnsupportedGroupError, "p and q must be whole numbers")
         if p < 0 or q < 0:
             raise UnsupportedGroupError(f"p and q must be non-negative, got {pq}")
-    ints = degrees if whole else whole_numbers(degrees, ShapeMismatchError, "a degree or rank must be a whole number")
+    ints = whole_numbers(degrees, ShapeMismatchError, "a degree or rank must be a whole number")
     if coset and len(ints) != 2:
         raise ShapeMismatchError(f"a coset signature is a pair (n_h, n_0), got {degrees!r}")
     if pq and coset and sum(ints) != p + q:
@@ -180,7 +179,7 @@ def _degrees(pq: tuple, degrees: Iterable[int], coset: bool = False) -> tuple[in
     return pq + ints
 
 
-@_checked_cache()
+@_checked_cache
 def matchings_module(r: int) -> ModuleDecomp:
     """Permutation module of S_{2r} on perfect matchings.
 
@@ -195,7 +194,7 @@ def matchings_module(r: int) -> ModuleDecomp:
     )
 
 
-@_checked_cache()
+@_checked_cache
 def sign_induction_module(p: int, q: int) -> ModuleDecomp:
     """Sum over 0 <= k <= min(p, q) of the induction to S_{p+q} of the
     matchings module of rank k times sign on S_{p-k} times sign on S_{q-k},
@@ -275,7 +274,7 @@ def _pieri_count(record: Iterable[tuple[tuple[int, ...], int]], d: int) -> int:
     return count
 
 
-@_checked_cache()
+@_checked_cache
 def diagonal_module(r: int) -> ModuleDecomp:
     """Sum of label-pair diagonals over S_r x S_r: one copy of (a, a) for
     every label a of size r."""
@@ -291,7 +290,7 @@ def _block_signature(p: int, q: int, r: int) -> tuple[int, int] | None:
     return p - r // 2, q - r // 2
 
 
-@_checked_cache(MAX_MEMO)
+@_checked_cache
 def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     """Matchings module on a degree-r first factor tensored with the sign
     inductions on the remaining degree; the zero module of shape
@@ -303,7 +302,7 @@ def block_matchings_first(p: int, q: int, r: int) -> ModuleDecomp:
     return matchings_module(r // 2).tensor(sign_induction_module(*rest))
 
 
-@_checked_cache(MAX_MEMO)
+@_checked_cache
 def block_matchings_second(p: int, q: int, r: int) -> ModuleDecomp:
     """Mirror of block_matchings_first, with the matchings factor second and
     shape (p+q-r, r)."""

@@ -34,7 +34,8 @@ def bead_set(label, n):
 
 def label_of(beads, n):
     places = [b for b in range(beads.bit_length() - 1, -1, -1) if beads >> b & 1]
-    assert len(places) == n, (beads, n)
+    if len(places) != n:  # raised, not asserted, so that python -O still checks it
+        raise AssertionError(f"bead set {beads:#b} has {len(places)} beads, not {n}")
     return tuple(p for p in (b - (n - 1 - i) for i, b in enumerate(places)) if p)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from unipcount import diagrams, unipotent
+from unipcount import diagrams, unipotent, weylmodules
 from unipcount.diagrams import (
     RowProfile,
     all_diagrams,
@@ -427,3 +427,28 @@ def test_an_iterator_orbit_is_checked_uncached_and_leaves_no_dead_key():
         assert str(caught.value) == "row lengths must be weakly decreasing: (1, 2)"
     assert unipotent._checked_orbit.cache_info().currsize == 0
     assert OrbitSpec((2, 1)) is OrbitSpec((2, 1))  # a tuple still goes through the memo
+
+
+# Every memo that checks outside input goes through errors._checked_cache: one
+# bound, and an unhashable argument checked and refused without the cache.
+CHECKED_MEMOS = [
+    (diagrams._checked, (([1],),)),
+    (all_diagrams, ([1],)),
+    (unipotent._checked_group, ("su", None, [1], 1)),
+    (unipotent._checked_orbit, (([1],), None)),
+    (weylmodules.matchings_module, ([1],)),
+    (weylmodules.sign_induction_module, ([1], 1)),
+    (weylmodules.diagonal_module, ([1],)),
+    (weylmodules.block_matchings_first, (2, 2, [1])),
+    (weylmodules.block_matchings_second, (2, 2, [1])),
+]
+
+
+@pytest.mark.parametrize("memo,args", CHECKED_MEMOS, ids=[memo.__name__ for memo, _ in CHECKED_MEMOS])
+def test_every_checked_memo_follows_the_one_rule(memo, args):
+    assert memo.cache_info().maxsize == MAX_MEMO
+    size = memo.cache_info().currsize
+    with pytest.raises(EngineError) as caught:
+        memo(*args)
+    assert type(caught.value) is not EngineError
+    assert memo.cache_info().currsize == size

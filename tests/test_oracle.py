@@ -162,8 +162,10 @@ def test_induction_transitive():
 def test_orthogonality_small_and_bound():
     assert orthogonality_check(1)
     assert orthogonality_check(5)
-    with pytest.raises(OracleBoundError):
-        orthogonality_check(9)
+    # The bound is checked before all_diagrams, whose own bound is larger.
+    for n in (9, 9.0, 60):
+        with pytest.raises(OracleBoundError):
+            orthogonality_check(n)
 
 
 def test_orthogonality_detects_corruption(monkeypatch):

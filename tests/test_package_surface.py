@@ -30,7 +30,7 @@ from unipcount import (
     parse_orbit,
 )
 from unipcount.diagrams import check_diagram
-from unipcount.oracle import induced_character
+from unipcount.oracle import decompose, induced_character, orthogonality_check
 from unipcount.symreps import ClassFunction
 
 ERRORS = {
@@ -110,6 +110,8 @@ WRONG_TYPE = [
     ("ClassFunction-negative-degree", lambda: ClassFunction(-1, {}), DegreeMismatchError),
     ("induced_character-int-characters", lambda: induced_character((1,), 5), DegreeMismatchError),
     ("induced_character-int-character", lambda: induced_character((1,), (5,)), DegreeMismatchError),
+    ("decompose-int-character", lambda: decompose(5), DegreeMismatchError),
+    ("ModuleDecomp.tensor-int-module", lambda: ModuleDecomp((2,)).tensor(5), ShapeMismatchError),
 ]
 
 # Every boundary that takes whole numbers from outside, each given one bad
@@ -129,6 +131,7 @@ WHOLE_NUMBER_BOUNDARIES = [
     ("ClassFunction", lambda x: ClassFunction(1, {(1,): x}), DegreeMismatchError),
     ("ClassFunction-degree", lambda x: ClassFunction(x, {}), DegreeMismatchError),
     ("induced_character", lambda x: induced_character((1, x), ()), DegreeMismatchError),
+    ("orthogonality_check", orthogonality_check, InvalidPartitionError),
 ]
 NOT_WHOLE = {"2.5": 2.5, "x": "x", "nan": float("nan"), "None": None, "[1]": [1]}
 

@@ -1,4 +1,5 @@
 import re
+from enum import IntEnum
 from hashlib import sha256
 from math import comb, factorial, inf, nan, prod
 
@@ -14,6 +15,7 @@ from unipcount.errors import (
     InvalidPartitionError,
     ShapeMismatchError,
     UnsupportedGroupError,
+    whole_numbers,
 )
 from unipcount.oracle import run_checks
 from unipcount.symreps import irrep_dimension
@@ -665,3 +667,17 @@ def test_coh_entries_are_pinned(kind):
         build = coh_su if kind == "su" else coh_u_cover
         modules = (build(p, n - p, sig) for n, sig in _SIGNATURES_TO_14 for p in range(n + 1))
     assert _entries_digest(modules) == COH_ENTRIES_SHA256[kind]
+
+
+class _Rank(IntEnum):
+    TWO = 2
+
+
+# whole_numbers hands exact ints back untouched, and only those: a bool or an
+# IntEnum is coerced, and a tuple subclass comes back as a plain tuple.
+def test_only_exact_ints_skip_the_coercion_and_come_back_as_a_plain_tuple():
+    for given, expected in [((True, 2), (1, 2)), ((_Rank.TWO, 1), (2, 1)), (CosetSignature(2, 2), (2, 2))]:
+        got = whole_numbers(given, ShapeMismatchError, "whole")
+        assert got == expected and type(got) is tuple and {*map(type, got)} == {int}, given
+    got = weylmodules._degrees((2, 2), CosetSignature(2, 2), coset=True)
+    assert got == (2, 2, 2, 2) and type(got) is tuple
