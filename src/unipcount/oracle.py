@@ -28,7 +28,7 @@ from .diagrams import (
     transpose,
 )
 from .errors import DegreeMismatchError, InvalidPartitionError, OracleBoundError, whole_numbers
-from .symreps import ClassFunction, centralizer_order, character_table, irrep_dimension
+from .symreps import ClassFunction, _table, centralizer_order, irrep_dimension
 
 MATCHINGS_BOUND = 4
 ORTHOGONALITY_BOUND = 8
@@ -215,7 +215,7 @@ def _pairings(n: int, values: Sequence[int]) -> Iterator[tuple[Diagram, int]]:
     function with this row of values) for every label lam: the integer sum
     over classes of (n! / z_mu) * values[mu] * chi^lam(mu), weighted once."""
     weighted = list(map(mul, _class_sizes(n), values))
-    for lam, row in character_table(n).items():
+    for lam, row in _table(n).items():
         yield lam, sum(map(mul, weighted, row))
 
 
@@ -242,7 +242,7 @@ def orthogonality_check(n: int) -> bool:
     if n > ORTHOGONALITY_BOUND:
         raise OracleBoundError(f"orthogonality sweep bound exceeded: n = {n} > {ORTHOGONALITY_BOUND}")
     labels = all_diagrams(n)
-    rows = list(character_table(n).values())
+    rows = list(_table(n).values())
     nfact = factorial(n)
     for i, row in enumerate(rows):
         if any(pairing != (nfact if i == j else 0) for j, (_, pairing) in enumerate(_pairings(n, row))):
@@ -309,7 +309,7 @@ def run_checks(max_size: int = 8) -> list[dict]:
     sweep(
         "hook-dimension",
         range(1, min(max_size, TABLE_BOUND) + 1),
-        each_diagram(lambda n, lam: irrep_dimension(lam) == character_table(n)[lam][-1]),
+        each_diagram(lambda n, lam: irrep_dimension(lam) == _table(n)[lam][-1]),
     )
     for n in range(1, min(max_size, 10) + 1):
         total = sum(irrep_dimension(lam) ** 2 for lam in all_diagrams(n))
@@ -343,7 +343,7 @@ def _lr_mismatches(total: int) -> Iterator[str]:
     nfact = factorial(total)
     for a in range(0, total + 1):
         b = total - a
-        table_a, table_b = character_table(a), character_table(b)
+        table_a, table_b = _table(a), _table(b)
         for (lam, row_a), (mu, row_b) in product(table_a.items(), table_b.items()):
             induced = _induce((a, b), (row_a, row_b))
             # The labels come from all_diagrams, so _lr needs no checks.

@@ -132,6 +132,12 @@ def character_table(n: int, cache_dir: str | Path | None = None) -> dict[IrrepLa
     return table
 
 
+def _table(n: int) -> dict[IrrepLabel, tuple[int, ...]]:
+    """character_table(n) for an int n >= 0 the caller made itself: the memoized
+    table without the whole-number check, else character_table(n). No table is empty."""
+    return _TABLES.get(n) or character_table(n)
+
+
 def _build_table(n: int) -> dict[IrrepLabel, tuple[int, ...]]:
     """The Murnaghan-Nakayama rule run forward, one class column at a time,
     on labels held as bitmasks of n beads, bead i at label[i] + n - 1 - i.

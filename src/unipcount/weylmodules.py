@@ -135,12 +135,12 @@ class ModuleDecomp:
         return f"ModuleDecomp(shape={self.shape}, {{{body}}})"
 
     def to_json_obj(self) -> dict:
-        """Canonical JSON form: shape, then entries sorted by key tuple."""
+        """Canonical JSON form: shape, then entries sorted by key tuple. Each
+        entry's key is the module's own key tuple, which json writes as an
+        array of arrays; from_json_obj reads lists or tuples alike."""
         return {
             "shape": list(self.shape),
-            "mults": [
-                {"key": list(map(list, key)), "m": m} for key, m in self.entries()
-            ],
+            "mults": [{"key": key, "m": m} for key, m in self.entries()],
         }
 
     @classmethod

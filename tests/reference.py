@@ -45,6 +45,16 @@ def sign_induction_entry(nu, p, q):
     return sign_induction_module(p, q).mults.get((nu,), 0)
 
 
+# Reference: ModuleDecomp.to_json_obj in list form, as the engine wrote it
+# before its entries shared the module's key tuples: every key copied into a
+# list of lists. json writes a tuple and a list alike, so the bytes match.
+def module_json_obj(module):
+    return {
+        "shape": list(module.shape),
+        "mults": [{"key": list(map(list, key)), "m": m} for key, m in module.entries()],
+    }
+
+
 # Reference: the per-(p, q) block multiplicity that count_unipotent read
 # before it kept one record per orbit. The multiplicity of (matched, other)
 # in block_matchings_first(p, q, r), without building that block: the

@@ -31,6 +31,7 @@ from unipcount.unipotent import (
     make_group,
     query_record,
 )
+from unipcount.weylmodules import ModuleDecomp
 
 
 def test_count_table_prints_number(cli_runner):
@@ -486,6 +487,15 @@ def test_coh_bytes_match_their_recorded_digests(cli_runner, fmt):
                 digest.update(out.encode())
                 queries += 1
     assert (queries, digest.hexdigest()) == (385, COH_SHA256[fmt])
+
+
+def test_coh_json_past_the_digests_writes_the_bytes_of_the_list_form(monkeypatch):
+    # A u-tilde query with parts at n = 10, past the n <= 6 of COH_SHA256.
+    argv = ["coh", "--group", "u-tilde", "--p", "5", "--q", "5", "--orbit", "3,3,2,1,1", "--format", "json"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "") and '"parts"' in out
+    monkeypatch.setattr(ModuleDecomp, "to_json_obj", reference.module_json_obj)
+    assert run_cli(argv) == (code, out, err)
 
 
 @settings(deadline=None, max_examples=40)

@@ -173,7 +173,7 @@ def test_orthogonality_detects_corruption(monkeypatch):
     bump = lambda lam, mu: chi(lam, mu) + ((lam, mu) == ((2, 2), (4,)))
     table = {lam: tuple(bump(lam, mu) for mu in classes) for lam in classes}
     assert chi((2, 2), (4,), table) == chi((2, 2), (4,)) + 1
-    monkeypatch.setattr(oracle, "character_table", lambda n: table)
+    monkeypatch.setattr(oracle, "_table", lambda n: table)
     assert not orthogonality_check(4)
 
 
@@ -453,7 +453,7 @@ def test_run_checks_reads_no_table_above_its_bound(monkeypatch):
         degrees.add(n)
         return character_table(n)
 
-    monkeypatch.setattr(oracle, "character_table", recorded)
+    monkeypatch.setattr(oracle, "_table", recorded)
     run_checks(13)
     assert degrees == set(range(oracle.TABLE_BOUND + 1))
 

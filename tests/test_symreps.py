@@ -204,6 +204,16 @@ def test_character_table_takes_only_a_whole_degree(tmp_path):
         character_table(-1)
 
 
+def test_the_internal_reader_serves_the_table_character_table_keeps():
+    import unipcount.symreps as symreps
+
+    table = character_table(5)
+    assert symreps._table(5) is table
+    symreps._TABLES.pop(6, None)
+    built = symreps._table(6)  # not memoized: built through character_table
+    assert built is symreps._TABLES[6] and built is character_table(6)
+
+
 def test_character_table_ignores_corrupt_cache(tmp_path):
     (tmp_path / "chartable_5.json").write_text("{not json")
     import unipcount.symreps as symreps

@@ -1,4 +1,6 @@
+import json
 import re
+import tracemalloc
 from enum import IntEnum
 from hashlib import sha256
 from math import comb, factorial, inf, nan, prod
@@ -32,6 +34,7 @@ from unipcount.weylmodules import (
     sign_induction_module,
 )
 
+import reference
 from test_package_surface import NOT_WHOLE
 
 
@@ -631,6 +634,31 @@ def test_every_small_coh_module_reads_back_from_json_in_canonical_order():
         entries = module.entries()
         assert [key for key, _ in entries] == sorted(module.mults, reverse=True)
         assert all(module.mults[key] == m for key, m in entries)
+
+
+def test_the_json_writer_shares_the_module_keys():
+    for module in _coh_modules(8):
+        obj = module.to_json_obj()
+        assert len(obj["mults"]) == len(module.mults)
+        for entry, (key, m) in zip(obj["mults"], module.entries()):
+            assert entry["key"] is key and entry["m"] == m
+    module = coh_sl_complex(CosetSignature(8, 8))
+    assert len(module.mults) == 946
+    tracemalloc.start()
+    try:
+        module.to_json_obj()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 256 B per entry: its dict, its slot in the list and the sorted
+    # copy entries() makes. A list per diagram would add four of 72 B or more.
+    assert peak < 400 * 946
+
+
+def test_the_json_writer_writes_the_bytes_of_the_list_form():
+    for module in _coh_modules(8):
+        got = json.dumps(module.to_json_obj(), sort_keys=True)
+        assert got == json.dumps(reference.module_json_obj(module), sort_keys=True)
 
 
 def _entries_digest(modules):
