@@ -17,8 +17,6 @@ from .errors import EngineError
 from .oracle import TABLE_BOUND, run_checks
 from .symreps import _table_rows, character_table
 from .unipotent import (
-    COMPLEX_KINDS,
-    HERMITIAN_KINDS,
     GroupKind,
     GroupSpec,
     OrbitSpec,
@@ -81,7 +79,8 @@ def _resolve(parser: argparse.ArgumentParser, args) -> tuple[GroupSpec, OrbitSpe
     orbit. A stray --orbit2 is reported last.
     """
     kind = GroupKind(args.group)
-    hermitian = kind in HERMITIAN_KINDS
+    family = kind.family
+    hermitian = family == "u"
     if hermitian and (args.p is None or args.q is None):
         parser.error(f"--group {kind.value} requires --p and --q")
     if not hermitian and (args.p is not None or args.q is not None):
@@ -92,7 +91,7 @@ def _resolve(parser: argparse.ArgumentParser, args) -> tuple[GroupSpec, OrbitSpe
     first = parse_orbit(args.orbit)
     if group is None:
         group = make_group(kind, n=sum(first))
-    if kind in COMPLEX_KINDS:
+    if family == "c":
         return group, OrbitSpec(first, first if args.orbit2 is None else parse_orbit(args.orbit2))
     if args.orbit2 is not None:
         parser.error(f"--orbit2 is only meaningful for the complex kinds, not {kind.value}")
@@ -135,10 +134,7 @@ def _cmd_coh(parser, args) -> int:
     if args.format == "json":
         record = query_record(group, orbit, **module.to_json_obj())
         if module.parts:
-            record["parts"] = {
-                name: module.parts[name].to_json_obj()
-                for name in sorted(module.parts)
-            }
+            record["parts"] = {name: part.to_json_obj() for name, part in module.parts.items()}
         _emit(record)
         return 0
     print("shape: " + ",".join(str(s) for s in module.shape))

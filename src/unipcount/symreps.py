@@ -198,10 +198,11 @@ def _load_table(n: int, cache_dir: str | Path) -> dict[IrrepLabel, tuple[int, ..
     if not isinstance(raw, dict) or list(raw) != [diagram_text(lam) for lam in classes]:
         return None
     # Each row must be a list of len(classes) ints; JSON true/false load as bool.
-    rows = [tuple(row) for row in raw.values() if isinstance(row, list) and len(row) == len(classes)]
-    if len(rows) < len(classes) or any(type(v) is not int for row in rows for v in row):
+    rows = raw.values()
+    width = len(classes)
+    if not all(isinstance(row, list) and len(row) == width and {int}.issuperset(map(type, row)) for row in rows):
         return None
-    return dict(zip(classes, rows))
+    return dict(zip(classes, map(tuple, rows)))
 
 
 def _store_table(n: int, table: dict[IrrepLabel, tuple[int, ...]], cache_dir: str | Path) -> None:

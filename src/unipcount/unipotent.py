@@ -24,26 +24,27 @@ from .weylmodules import (
 
 
 class GroupKind(str, Enum):
-    GL_R = "gl-r"
-    SL_R = "sl-r"
-    GL_C = "gl-c"
-    SL_C = "sl-c"
-    U_COVER = "u-tilde"
-    SU = "su"
-    GL_H = "gl-h"
-    SL_H = "sl-h"
+    """A group kind: its family, "r", "c" or "h" for the linear groups over
+    R, C or H and "u" for the unitary kinds, which take (p, q), and whether
+    it is the special member of that family. least, the least n a linear
+    kind takes, is 2 for the special and the quaternionic kinds, else 1."""
+
+    GL_R = "gl-r", "r", False
+    SL_R = "sl-r", "r", True
+    GL_C = "gl-c", "c", False
+    SL_C = "sl-c", "c", True
+    U_COVER = "u-tilde", "u", False
+    SU = "su", "u", True
+    GL_H = "gl-h", "h", False
+    SL_H = "sl-h", "h", True
+
+    def __new__(cls, value: str, family: str, special: bool) -> "GroupKind":
+        kind = str.__new__(cls, value)  # equal to, and hashed as, its value
+        kind._value_, kind.family, kind.special = value, family, special
+        kind.least = 2 if family == "h" or special and family != "u" else 1
+        return kind
 
 
-COMPLEX_KINDS = frozenset({GroupKind.GL_C, GroupKind.SL_C})
-HERMITIAN_KINDS = frozenset({GroupKind.SU, GroupKind.U_COVER})
-QUATERNIONIC_KINDS = frozenset({GroupKind.GL_H, GroupKind.SL_H})
-ENUMERATED_KINDS = frozenset({GroupKind.GL_R, GroupKind.SL_R})
-_CELL_KINDS = HERMITIAN_KINDS | COMPLEX_KINDS  # the kinds with a cell and a module
-_COUNTED_KINDS = frozenset(GroupKind) - QUATERNIONIC_KINDS
-
-
-# Kind and least n by value; a str-Enum member hashes as its value, so it finds its own entry.
-_KINDS = {k.value: (k, 2 if k in ("sl-r", "sl-c", "sl-h", "gl-h") else 1) for k in GroupKind}
 _Group = NamedTuple("_Group", [("kind", GroupKind), ("n", int), ("p", int | None), ("q", int | None)])
 
 
@@ -76,16 +77,17 @@ def make_group(
     return _checked_group(kind, n, p, q)
 
 
-# "su" and GroupKind.SU hash alike, so they share one entry and one spec.
+# A kind and its value hash alike, so they share one entry and one spec.
 @_checked_cache
 def _checked_group(kind, n, p, q) -> GroupSpec:
     try:
-        kind, minimum = _KINDS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        kind = GroupKind(kind)
+    except ValueError:  # an unknown kind, hashable or not
         raise UnsupportedGroupError(f"unknown group kind {kind!r}") from None
+    family = kind.family
     if n is not None:
         (n,) = whole_numbers((n,), UnsupportedGroupError, f"kind {kind.value} takes a whole n")
-    if kind in HERMITIAN_KINDS:
+    if family == "u":
         if p is None or q is None:
             raise UnsupportedGroupError(f"kind {kind.value} requires p and q")
         p, q = whole_numbers((p, q), UnsupportedGroupError, f"kind {kind.value} takes whole p, q")
@@ -100,9 +102,9 @@ def _checked_group(kind, n, p, q) -> GroupSpec:
         raise UnsupportedGroupError(f"kind {kind.value} does not take p and q")
     if n is None:
         raise UnsupportedGroupError(f"kind {kind.value} requires n")
-    if n < minimum:
-        raise UnsupportedGroupError(f"kind {kind.value} requires n >= {minimum}, got {n}")
-    if kind in QUATERNIONIC_KINDS and n % 2:
+    if n < kind.least:
+        raise UnsupportedGroupError(f"kind {kind.value} requires n >= {kind.least}, got {n}")
+    if family == "h" and n % 2:
         raise UnsupportedGroupError(f"kind {kind.value} requires even n, got {n}")
     return tuple.__new__(GroupSpec, (kind, n, None, None))
 
@@ -135,19 +137,20 @@ def _checked_orbit(first, second) -> OrbitSpec:
     return tuple.__new__(OrbitSpec, (check_diagram(first), None if second is None else check_diagram(second)))
 
 
-def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: str) -> GroupKind:
-    """The group's kind, once a query may run on it: the group and orbit
-    are specs, the query serves the kind (or refusal names it), and the
-    orbit fits the group: an ordered pair of diagrams for the complex kinds
-    and a single diagram otherwise, each diagram of size n."""
+def _check_query(group: GroupSpec, orbit: OrbitSpec, families: str, refusal: str) -> str:
+    """The group's family, once a query may run on it: the group and orbit
+    are specs, the family is a letter of families (or refusal names the
+    kind), and the orbit fits the group: an ordered pair of diagrams for
+    the complex kinds and a single diagram otherwise, each of size n."""
     if not isinstance(group, GroupSpec):
         raise UnsupportedGroupError(f"a group is a GroupSpec from make_group, got {group!r}")
     if not isinstance(orbit, OrbitSpec):
         raise InvalidPartitionError(f"an orbit is an OrbitSpec, got {orbit!r}")
     kind = group.kind
-    if kind not in kinds:
+    family = kind.family
+    if family not in families:
         raise UnsupportedGroupError(refusal.format(kind.value))
-    if kind in COMPLEX_KINDS:
+    if family == "c":
         if orbit.second is None:
             raise DegreeMismatchError(f"kind {kind.value} takes an ordered pair of diagrams")
         sizes = (sum(orbit.first), sum(orbit.second))
@@ -160,7 +163,7 @@ def _check_query(group: GroupSpec, orbit: OrbitSpec, kinds: frozenset, refusal: 
             raise DegreeMismatchError(
                 f"orbit size {sum(orbit.first)} does not match n = {group.n}"
             )
-    return kind
+    return family
 
 
 # A sweep counts each orbit at every (p, q); bounded, as a c_odd list may hold MAX_ROWS.
@@ -187,27 +190,22 @@ def cell_rep(group: GroupSpec, orbit: OrbitSpec) -> tuple[Diagram, ...]:
     (transpose of the even rows, transpose of the odd rows), each expanded from
     its half of parity_halves, and refused past MAX_ROWS rows; the complex kinds
     double that tuple, built from the first pair component. Nothing is cached."""
-    kind = _check_query(group, orbit, _CELL_KINDS, "no cell label for kind {}")
+    family = _check_query(group, orbit, "uc", "no cell label for kind {}")
     d = orbit.first
     if d[0] > MAX_ROWS:
         raise SizeBoundError(f"row length {d[0]} exceeds {MAX_ROWS}: a cell label would have that many rows")
     pair = tuple(map(transposed_rows, *parity_halves(d)[:2]))
-    return pair + pair if kind in COMPLEX_KINDS else pair
+    return pair + pair if family == "c" else pair
 
 
 def coherent_module(group: GroupSpec, orbit: OrbitSpec) -> ModuleDecomp:
     """Coherent continuation module of the group at the orbit's coset
     (unitary and complex kinds)."""
-    kind = _check_query(
-        group, orbit, _CELL_KINDS, "no coherent continuation decomposition for kind {}"
-    )
+    family = _check_query(group, orbit, "uc", "no coherent continuation decomposition for kind {}")
     sig = coset_signature(orbit.first)
-    if kind is GroupKind.GL_C:
-        return coh_gl_complex(sig)
-    if kind is GroupKind.SL_C:
-        return coh_sl_complex(sig)
-    build = coh_su if kind is GroupKind.SU else coh_u_cover
-    return build(group.p, group.q, sig)
+    if family == "c":
+        return (coh_sl_complex if group.kind.special else coh_gl_complex)(sig)
+    return (coh_su if group.kind.special else coh_u_cover)(group.p, group.q, sig)
 
 
 def _real_params(group: GroupSpec, orbit: OrbitSpec) -> Iterator[tuple[tuple[int, ...], str | None]]:
@@ -223,12 +221,10 @@ def _real_params(group: GroupSpec, orbit: OrbitSpec) -> Iterator[tuple[tuple[int
     when every multiplicity is even, splits into the signed pair '+', '-',
     listed last.
     """
-    kind = _check_query(
-        group, orbit, ENUMERATED_KINDS, "explicit enumeration is only available for gl-r and sl-r, not {}"
-    )
+    _check_query(group, orbit, "r", "explicit enumeration is only available for gl-r and sl-r, not {}")
     m = row_profile(orbit.first).mults
     boxes = product(*(range(x + 1) for x in m))
-    if kind is GroupKind.GL_R:
+    if not group.kind.special:
         return zip(boxes, repeat(None))
     below = takewhile(lambda a: tuple(2 * x for x in a) < m, boxes)
     fixed = () if any(x % 2 for x in m) else ((tuple(x // 2 for x in m), sign) for sign in "+-")
@@ -285,21 +281,21 @@ def count_unipotent(group: GroupSpec, orbit: OrbitSpec) -> int:
     and x = b, hence a = b, which the argument above rules out. So the
     count is 1.
     """
-    kind = _check_query(
+    family = _check_query(
         group,
         orbit,
-        _COUNTED_KINDS,
+        "rcu",
         "counting for {} is not implemented: restriction from the quaternionic "
         "general linear group to the quaternionic special linear group is a "
         "bijection on special unipotent representations, and the general "
         "linear side's classification is external to this engine",
     )
-    if kind in COMPLEX_KINDS:
+    if family == "c":
         return int(orbit.first == orbit.second)
-    if kind in ENUMERATED_KINDS:
+    if family == "r":
         mults = row_profile(orbit.first).mults
         total = prod(m + 1 for m in mults)
-        if kind is GroupKind.GL_R:
+        if not group.kind.special:
             return total
         return (total + 3 * (not any(m % 2 for m in mults))) // 2
     return _pieri_count(_orbit_record(orbit.first), group.p - group.q)
@@ -309,7 +305,7 @@ def query_record(group: GroupSpec, orbit: OrbitSpec, **fields) -> dict:
     """JSON-ready record of a query: its group (kind, n, and p and q for the
     hermitian kinds), its orbit (rows, or a pair of them), then fields."""
     head = {"kind": group.kind.value, "n": group.n}
-    if group.kind in HERMITIAN_KINDS:
+    if group.p is not None:
         head |= {"p": group.p, "q": group.q}
     first = list(orbit.first)
     return {"group": head, "orbit": first if orbit.second is None else [first, list(orbit.second)], **fields}
@@ -319,7 +315,7 @@ def count_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     """JSON-ready record of a count query."""
     count = count_unipotent(group, orbit)  # checks the query first
     n_h, n_0 = coset_signature(orbit.first)
-    method = "enumeration" if group.kind in ENUMERATED_KINDS else "multiplicity"
+    method = "enumeration" if group.kind.family == "r" else "multiplicity"
     return query_record(group, orbit, n_h=n_h, n_0=n_0, count=count, method=method)
 
 
@@ -340,10 +336,11 @@ def enumeration_record(group: GroupSpec, orbit: OrbitSpec) -> dict:
     [length, tag] pairs."""
     params = _real_params(group, orbit)  # checks the query first
     tags = _block_tags(orbit.first)
+    special = group.kind.special
     rows = []
     for index, (a, sign) in enumerate(params):
         row = {"index": index, "blocks": list(chain.from_iterable(map(getitem, tags, a))), "a": list(a)}
-        if group.kind is GroupKind.SL_R:
+        if special:
             row["sign"] = sign
         rows.append(row)
     return query_record(group, orbit, count=len(rows), params=rows)

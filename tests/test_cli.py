@@ -20,9 +20,6 @@ from unipcount import cli
 from unipcount.diagrams import all_diagrams, diagram_text, format_diagram
 from unipcount.errors import MAX_PARTITIONED
 from unipcount.unipotent import (
-    COMPLEX_KINDS,
-    HERMITIAN_KINDS,
-    QUATERNIONIC_KINDS,
     GroupKind,
     OrbitSpec,
     cell_rep,
@@ -400,14 +397,13 @@ def _queries(max_n):
     kind, every (p, q) of the hermitian kinds and every ordered pair of
     diagrams of the complex kinds."""
     for kind in GroupKind:
-        for n in range(1, max_n + 1) if kind not in QUATERNIONIC_KINDS else ():
-            if kind in HERMITIAN_KINDS:
+        for n in range(1, max_n + 1) if kind.family != "h" else ():
+            if kind.family == "u":
                 groups = [make_group(kind, p=p, q=n - p) for p in range(n + 1)]
             else:
-                least = 1 if kind in (GroupKind.GL_R, GroupKind.GL_C) else 2
-                groups = [make_group(kind, n=n)] if n >= least else []
+                groups = [make_group(kind, n=n)] if n >= kind.least else []
             diagrams = all_diagrams(n)
-            if kind in COMPLEX_KINDS:
+            if kind.family == "c":
                 orbits = [OrbitSpec(d, e) for d in diagrams for e in diagrams]
             else:
                 orbits = list(map(OrbitSpec, diagrams))
@@ -431,7 +427,7 @@ def test_count_and_cell_bytes_match_their_recorded_digests():
     counts, cells = sha256(), sha256()
     for group, orbit in _queries(10):
         counts.update((json.dumps(count_record(group, orbit)) + "\n").encode())
-        if group.kind in HERMITIAN_KINDS | COMPLEX_KINDS:
+        if group.kind.family in ("u", "c"):
             cells.update(_cell_line(group, orbit).encode())
     assert (counts.hexdigest(), cells.hexdigest()) == (COUNT_SHA256, CELL_SHA256)
 
@@ -572,7 +568,7 @@ def test_pinned_lines_are_what_the_cli_writes(cli_runner, argv, group, orbit):
     argv = argv.split()
     code, out, _ = cli_runner(["count", *argv, "--format", "json"])
     assert (code, out) == (0, json.dumps(count_record(group, orbit)) + "\n")
-    if group.kind in HERMITIAN_KINDS | COMPLEX_KINDS:
+    if group.kind.family in ("u", "c"):
         code, out, _ = cli_runner(["cell", *argv, "--format", "json"])
         assert (code, out) == (0, _cell_line(group, orbit))
 

@@ -224,14 +224,24 @@ def test_character_table_ignores_corrupt_cache(tmp_path):
     assert table == character_table(5)
 
 
-@pytest.mark.parametrize("held", [[[1]], 3], ids=["a JSON list", "the degree-3 table"])
+def _cut_short(rows):
+    """The table rows with the last value of the first row dropped."""
+    first = next(iter(rows))
+    return rows | {first: rows[first][:-1]}
+
+
+@pytest.mark.parametrize(
+    "held",
+    [lambda: [[1]], lambda: _table_rows(character_table(3)), lambda: _cut_short(_table_rows(character_table(4)))],
+    ids=["a JSON list", "the degree-3 table", "the degree-4 table with one row cut short"],
+)
 def test_character_table_rebuilds_a_cache_file_of_another_table(tmp_path, held):
     # Valid JSON that is not the degree-4 table is a miss: the table is
     # rebuilt, and its file rewritten.
     import unipcount.symreps as symreps
 
     path = tmp_path / "chartable_4.json"
-    path.write_text(json.dumps(held if isinstance(held, list) else _table_rows(character_table(held))))
+    path.write_text(json.dumps(held()))
     assert symreps._load_table(4, tmp_path) is None
     symreps._TABLES.pop(4, None)
     assert character_table(4, cache_dir=tmp_path) == symreps._build_table(4)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import tracemalloc
 from math import prod
 
@@ -70,7 +71,7 @@ def test_make_group_validation():
 
 def test_make_group_takes_a_kind_or_its_value():
     for kind in GroupKind:
-        args = {"p": 1, "q": 1} if kind in unipotent.HERMITIAN_KINDS else {"n": 2}
+        args = {"p": 1, "q": 1} if kind.family == "u" else {"n": 2}
         for given in (kind, kind.value):
             group = make_group(given, **args)
             assert group.kind is kind and type(group.kind) is GroupKind
@@ -83,6 +84,29 @@ def test_make_group_takes_a_kind_or_its_value():
         with pytest.raises(UnsupportedGroupError) as caught:
             make_group(kind, n=3)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, value, family, special, least",
+    [
+        (GroupKind.GL_R, "gl-r", "r", False, 1),
+        (GroupKind.SL_R, "sl-r", "r", True, 2),
+        (GroupKind.GL_C, "gl-c", "c", False, 1),
+        (GroupKind.SL_C, "sl-c", "c", True, 2),
+        (GroupKind.U_COVER, "u-tilde", "u", False, 1),
+        (GroupKind.SU, "su", "u", True, 1),
+        (GroupKind.GL_H, "gl-h", "h", False, 2),
+        (GroupKind.SL_H, "sl-h", "h", True, 2),
+    ],
+)
+def test_each_kind_is_its_family_and_special_flag(kind, value, family, special, least):
+    assert (kind.value, kind.family, kind.special, kind.least) == (value, family, special, least)
+    # A kind is its value: found by it, equal to it and hashed as it, so
+    # make_group(kind) and make_group(value) share one cache entry.
+    assert GroupKind(value) is kind and kind == value and hash(kind) == hash(value)
+    group = make_group(value, p=2, q=1) if family == "u" else make_group(value, n=least)
+    back = pickle.loads(pickle.dumps(group))
+    assert back == group and type(back) is GroupSpec and back.kind is kind
 
 
 def test_group_spec_built_by_hand_is_checked():
