@@ -12,7 +12,7 @@ approximating.
 from functools import cache
 from itertools import product
 from math import factorial, prod
-from operator import getitem, gt, mul
+from operator import getitem, mul
 from typing import Iterator, Sequence
 
 from . import unipotent, weylmodules
@@ -133,8 +133,12 @@ def induced_character(
                 f"factor degree {d} does not match class function degree {f.degree}"
             )
     n = sum(sub_degrees)
-    row = _induce(sub_degrees, [_row(f) for f in sub_characters])
-    return ClassFunction(n, dict(zip(all_diagrams(n), row)))
+    rows = [_row(f) for f in sub_characters]
+    values = (
+        sum(weight * prod(map(getitem, rows, positions)) for weight, positions in terms)
+        for terms in _fusion(sub_degrees)
+    )
+    return ClassFunction(n, dict(zip(all_diagrams(n), values)))
 
 
 def _row(cf: ClassFunction) -> tuple[int, ...]:
@@ -142,65 +146,53 @@ def _row(cf: ClassFunction) -> tuple[int, ...]:
     return tuple(map(cf.values.__getitem__, all_diagrams(cf.degree)))
 
 
-def _induce(sub_degrees: tuple[int, ...], rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The fusion sum: the induced character's row, from the row of one
-    character per factor."""
-    return tuple(
-        sum(weight * prod(map(getitem, rows, positions)) for weight, positions in terms)
-        for terms in _fusion(sub_degrees)
-    )
-
-
 def lr_coefficient(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
     """Littlewood-Richardson coefficient of nu in the product of lam and mu.
 
-    Counts column-strict skew tableaux of shape nu/lam and content mu whose
-    reverse reading word is a lattice word. The target size must match.
+    Reads one entry of _lr_row(lam, mu), the count of LR tableaux of shape
+    nu/lam and content mu for every nu. The target size must match.
     """
     lam, mu, nu = check_diagram(lam), check_diagram(mu), check_diagram(nu)
     if sum(nu) != sum(lam) + sum(mu):
         raise DegreeMismatchError(
             f"target size {sum(nu)} differs from {sum(lam)} + {sum(mu)}"
         )
-    return _lr(lam, mu, nu)
+    return _lr_row(lam, mu).get(nu, 0)
 
 
 @cache
-def _lr(lam: Diagram, mu: Diagram, nu: Diagram) -> int:
-    # Zero unless both lam and mu fit inside nu (Macdonald I.(5.16)-(5.17), I.9).
-    nrows = len(nu)
-    if len(lam) > nrows or len(mu) > nrows or any(map(gt, lam, nu)) or any(map(gt, mu, nu)):
-        return 0
-    inner = tuple(lam[i] if i < len(lam) else 0 for i in range(nrows))
-    # Reverse reading order: rows top to bottom, cells right to left. Both
-    # neighbors that constrain a cell are then already filled, and the
-    # lattice condition can be checked prefix by prefix.
-    cells = [(i, j) for i in range(nrows) for j in range(nu[i] - 1, inner[i] - 1, -1)]
-    nvals = len(mu)
-    counts = [0] * nvals
-    filling: dict[tuple[int, int], int] = {}
+def _lr_row(lam: Diagram, mu: Diagram) -> dict[Diagram, int]:
+    """Every nonzero coefficient of nu in the product of lam and mu, keyed by
+    nu, from one count of LR tableaux (Macdonald I.9): lam grows by mu[k]
+    boxes labelled k + 1, a horizontal strip, for k = 0, 1, ..., row by row.
+    The reverse reading word (rows top down, cells right to left) is a
+    lattice word when the k + 1's in rows <= i never outnumber the k's in
+    rows < i. On the shape old before a label, row i > 0 takes at most
+    old[i-1] - old[i] boxes, so a row leaving more than old[i] is pruned."""
+    row: dict[Diagram, int] = {}
+    shape = [*lam] + [0] * (len(mu) + 1)
+    # The boxes of each label per row; label 1 reads the last one, all zeros.
+    strips = [[0] * len(shape) for _ in range(len(mu) + 1)]
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        lo = 1
-        if i > 0 and j >= inner[i - 1]:
-            lo = filling[i - 1, j] + 1
-        hi = filling[i, j + 1] if j + 1 < nu[i] else nvals
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 2] <= counts[v - 1]:
-                continue
-            counts[v - 1] += 1
-            filling[i, j] = v
-            total += fill(idx + 1)
-            counts[v - 1] -= 1
-        return total
+    def fill(k: int, i: int, left: int, slack: int) -> None:
+        # Label k + 1 has left boxes for rows i, i + 1, ...; the k's in rows
+        # < i allow slack more of them. Label 1 starts with all mu[0] allowed.
+        if not left:
+            if k + 1 < len(mu):
+                fill(k + 1, 0, mu[k + 1], 0 if k >= 0 else mu[0])
+            else:
+                nu = tuple(x for x in shape if x)
+                row[nu] = row.get(nu, 0) + 1
+            return
+        strip, above, old = strips[k], strips[k - 1], shape[i]
+        room = shape[i - 1] - strip[i - 1] - old if i else left
+        for x in range(max(0, left - old), min(left, room, slack) + 1):
+            shape[i], strip[i] = old + x, x
+            fill(k, i + 1, left - x, slack - x + above[i])
+        shape[i], strip[i] = old, 0
 
-    return fill(0)
+    fill(-1, 0, 0, 0)
+    return row
 
 
 @cache
@@ -337,18 +329,26 @@ def run_checks(max_size: int = 8) -> list[dict]:
 
 def _lr_mismatches(total: int) -> Iterator[str]:
     """Every (lam, mu, nu) with |lam| + |mu| = total whose Frobenius pairing
-    differs from the Littlewood-Richardson coefficient. The induced
-    characters come straight from character table rows, and _lr skips a
-    lam or mu that does not fit inside nu."""
+    differs from the Littlewood-Richardson coefficient. The fusion sum is
+    regrouped into one kernel per split (a, b): entry (i, j) of nu's row is
+    weight * (n! / z) * chi^nu at the class that subclass i of S_a and j of
+    S_b fuse into, paired with the outer product of lam's and mu's rows."""
     nfact = factorial(total)
+    sizes, table = _class_sizes(total), _table(total)
     for a in range(0, total + 1):
-        b = total - a
-        table_a, table_b = _table(a), _table(b)
+        table_a, table_b = _table(a), _table(total - a)
+        fused: list = [None] * (len(table_a) * len(table_b))  # each (i, j) fuses into one class
+        for c, terms in enumerate(_fusion((a, total - a))):
+            for weight, (i, j) in terms:
+                fused[i * len(table_b) + j] = (weight * sizes[c], c)
+        kernel = [(nu, [w * row[c] for w, c in fused]) for nu, row in table.items()]
         for (lam, row_a), (mu, row_b) in product(table_a.items(), table_b.items()):
-            induced = _induce((a, b), (row_a, row_b))
-            # The labels come from all_diagrams, so _lr needs no checks.
-            for nu, pairing in _pairings(total, induced):
-                lr = _lr(lam, mu, nu)
+            outer = [x * y for x in row_a for y in row_b]
+            # The labels come from all_diagrams, so _lr_row needs no checks.
+            coefficients = _lr_row(lam, mu)
+            for nu, weights in kernel:
+                pairing = sum(map(mul, weights, outer))
+                lr = coefficients.get(nu, 0)
                 if pairing != lr * nfact:
                     # Imported only on a mismatch: a passing run never pays
                     # for fractions.

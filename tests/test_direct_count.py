@@ -16,7 +16,7 @@ from unipcount import oracle, unipotent, weylmodules
 from unipcount.diagrams import all_diagrams, coset_signature, transpose
 from unipcount.errors import SizeBoundError
 from unipcount.oracle import lr_coefficient
-from unipcount.symreps import _bead_moves, character_table
+from unipcount.symreps import ClassFunction, _bead_moves, character_table
 from unipcount.unipotent import OrbitSpec, cell_rep, count_unipotent, make_group
 from unipcount.weylmodules import (
     coh_gl_complex,
@@ -138,6 +138,14 @@ def test_fixed_matchings_closed_form_matches_the_matchings_oracle(monkeypatch):
         assert {cls: _fixed_matchings(cls) for cls in all_diagrams(2 * r)} == brute, r
 
 
+def _induced_row(degrees, rows):
+    """The oracle's induced character from one row of values per factor,
+    each row and the result in all_diagrams order."""
+    factors = [ClassFunction(d, dict(zip(all_diagrams(d), row))) for d, row in zip(degrees, rows)]
+    values = oracle.induced_character(degrees, factors).values
+    return [values[cls] for cls in all_diagrams(sum(degrees))]
+
+
 def test_sign_induction_character_matches_the_induced_matchings_class_by_class():
     # A character fixes its module, so sign induction is certified by one
     # identity per class mu of S_n, independent of the Pieri reasoning:
@@ -155,7 +163,7 @@ def test_sign_induction_character_matches_the_induced_matchings_class_by_class()
                 left = [x + m * value for x, value in zip(left, table[nu])]
             right = [0] * len(classes)
             for k in range(min(p, q) + 1):
-                induced = oracle._induce((2 * k, p - k, q - k), [fixed[2 * k], sign[p - k], sign[q - k]])
+                induced = _induced_row((2 * k, p - k, q - k), [fixed[2 * k], sign[p - k], sign[q - k]])
                 right = list(map(add, right, induced))
             assert left == right, (p, q)
 
@@ -192,9 +200,9 @@ def test_class_column_matches_the_character_table():
 def test_sign_induction_character_matches_the_induced_matchings_past_n_15(query):
     # The class-by-class identity of the exhaustive test above, at one random
     # class mu of S_n for 16 <= n = p + q <= 18. The bound is the oracle's
-    # _induce over every (p, q, k), not the character table: on a 2-vCPU
-    # host under Python 3.11 the exhaustive sweep's _induce calls take about
-    # 0.27 s to n = 15 and 1.0 s to n = 18, every table to n = 18 0.17 s.
+    # induced_character over every (p, q, k), not the character table: on a
+    # 2-vCPU host under Python 3.11 the exhaustive sweep's inductions take about
+    # 0.36 s to n = 15 and 1.1 s to n = 18, every table to n = 18 0.29 s.
     p, n, mu = query
     q = n - p
     left = sum(sign_induction_entry(nu, p, q) * value for nu, value in _class_column(mu).items())
@@ -206,7 +214,7 @@ def test_sign_induction_character_matches_the_induced_matchings_past_n_15(query)
             [(-1) ** (p - k - len(cls)) for cls in all_diagrams(p - k)],
             [(-1) ** (q - k - len(cls)) for cls in all_diagrams(q - k)],
         ]
-        right += oracle._induce((2 * k, p - k, q - k), rows)[position]
+        right += _induced_row((2 * k, p - k, q - k), rows)[position]
     assert left == right, (p, q, mu)
 
 

@@ -4,14 +4,16 @@ from collections import Counter
 from functools import cache
 from hashlib import sha256
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import chi, irreducible_character
 from unipcount import oracle, unipotent, weylmodules
-from unipcount.diagrams import all_diagrams, coset_signature, row_profile
+from unipcount.diagrams import all_diagrams, coset_signature, row_profile, transpose
 from unipcount.errors import DegreeMismatchError, InvalidPartitionError, OracleBoundError, SizeBoundError
 from unipcount.oracle import (
     all_matchings,
@@ -24,7 +26,7 @@ from unipcount.oracle import (
     parameter_tuples,
     run_checks,
 )
-from unipcount.symreps import ClassFunction, centralizer_order, character_table
+from unipcount.symreps import ClassFunction, centralizer_order, character_table, irrep_dimension
 from unipcount.unipotent import OrbitSpec, enumeration_record, make_group
 from unipcount.weylmodules import matchings_module
 
@@ -340,7 +342,7 @@ def _sweep_faults():
     by check. Each fault wraps the engine function the check reads."""
     su, sl = unipotent.GroupKind.SU, unipotent.GroupKind.SL_R
     transpose, halves, dim = oracle.transpose, oracle.parity_halves, oracle.irrep_dimension
-    lr, tuples, count = oracle._lr, oracle.parameter_tuples, unipotent.count_unipotent
+    lr_row, tuples, count = oracle._lr_row, oracle.parameter_tuples, unipotent.count_unipotent
     gl_complex, diagonal = weylmodules.coh_gl_complex, weylmodules.diagonal_module
     # The cell of the orbit 2,1,1, which no diagonal summand holds.
     cell = unipotent.cell_rep(make_group("su", p=4, q=0), OrbitSpec((2, 1, 1)))
@@ -362,7 +364,8 @@ def _sweep_faults():
         ),
         "lr-frobenius": (
             "|lam|+|mu|=2", "|lam|+|mu|=1",
-            (oracle, "_lr", lambda *t: 0 if t == ((1,), (1,), (2,)) else lr(*t)),
+            (oracle, "_lr_row",
+             lambda lam, mu: {nu: c for nu, c in lr_row(lam, mu).items() if (lam, mu, nu) != ((1,), (1,), (2,))}),
             "1 mismatches; first: (1)*(1)->(2): 1 vs 0",
         ),
         "parameter-enumeration": (
@@ -409,6 +412,14 @@ def _sweep_faults():
     misstated = lambda p, q, sig: cover(p, q, sig) + held if (p, q, sig) == (1, 2, (2, 1)) else cover(p, q, sig)
     fault = ("n=3", "n=2", (unipotent, "coh_u_cover", misstated), "1 mismatches; first: (p,q)=(1,2) orbit=2,1")
     params.append(pytest.param("counting-equality", *fault, id="counting-equality-cover-module"))
+    # lr-frobenius also reads the fusion kernel: (1) x (1) fuses into the
+    # class (1, 1) of S_2 with weight 2, and a weight of 4 doubles both
+    # pairings of (1) * (1).
+    fusion = oracle._fusion
+    ((weight, positions),) = fusion((1, 1))[1]
+    doubled = lambda d: ((), ((2 * weight, positions),)) if d == (1, 1) else fusion(d)
+    fault = ("|lam|+|mu|=2", "|lam|+|mu|=1", (oracle, "_fusion", doubled), "2 mismatches; first: (1)*(1)->(2): 2 vs 1")
+    params.append(pytest.param("lr-frobenius", *fault, id="lr-frobenius-kernel"))
     return params
 
 
@@ -506,8 +517,10 @@ def test_counting_equality_builds_each_su_module_once(monkeypatch):
     assert sum(built.values()) == 154
 
 
-# Reference: the tableau count of oracle._lr as it was before it returned 0
-# for mu not inside nu; it tests only whether lam fits inside nu.
+# Reference: the per-triple tableau count the oracle used before it read
+# whole rows from _lr_row, as it was before it returned 0 for mu not inside
+# nu; it tests only whether lam fits inside nu. It fills the cells of nu/lam
+# in reverse reading order and checks the lattice condition prefix by prefix.
 @cache
 def unpruned_lr(lam, mu, nu):
     nrows = len(nu)
@@ -542,13 +555,18 @@ def unpruned_lr(lam, mu, nu):
     return fill(0)
 
 
-def lr_triples(max_total):
-    for total in range(max_total + 1):
+def lr_pairs(totals):
+    for total in totals:
         for a in range(total + 1):
             for lam in all_diagrams(a):
                 for mu in all_diagrams(total - a):
-                    for nu in all_diagrams(total):
-                        yield lam, mu, nu
+                    yield lam, mu
+
+
+def lr_triples(max_total):
+    for lam, mu in lr_pairs(range(max_total + 1)):
+        for nu in all_diagrams(sum(lam) + sum(mu)):
+            yield lam, mu, nu
 
 
 def lr_mismatches():
@@ -571,11 +589,51 @@ def test_lr_coefficient_is_symmetric_in_lam_and_mu():
 
 
 def test_lr_reference_catches_a_pruning_that_zeroes_too_much(monkeypatch):
-    pruned = oracle._lr
+    pruned = oracle._lr_row
 
-    def off_by_one(lam, mu, nu):
-        # Also refuses a mu with as many rows as nu, which can fit.
-        return 0 if len(mu) >= len(nu) else pruned(lam, mu, nu)
+    def off_by_one(lam, mu):
+        # Also drops every nu with as many rows as mu, which can hold mu.
+        return {nu: c for nu, c in pruned(lam, mu).items() if len(mu) < len(nu)}
 
-    monkeypatch.setattr(oracle, "_lr", off_by_one)
+    monkeypatch.setattr(oracle, "_lr_row", off_by_one)
     assert ((1,), (1,), (2,)) in lr_mismatches()
+
+
+def test_lr_rows_match_the_tableau_reference():
+    # Every (lam, mu) the lr-frobenius sweep reads, to |lam| + |mu| = 8: each
+    # row holds exactly the nonzero coefficients of the per-triple search.
+    for lam, mu in lr_pairs(range(9)):
+        row = oracle._lr_row(lam, mu)
+        nus = all_diagrams(sum(lam) + sum(mu))
+        assert set(row) <= set(nus), (lam, mu)
+        assert row == {nu: c for nu in nus if (c := unpruned_lr(lam, mu, nu))}, (lam, mu)
+
+
+def _check_lr_identities(lam, mu):
+    # Two identities that read no tableau: the dimension of the induced
+    # module, C(a + b, a) f^lam f^mu, and invariance under transposing all
+    # three diagrams, which the involution s_lam -> s_lam' gives.
+    row = oracle._lr_row(lam, mu)
+    a, b = sum(lam), sum(mu)
+    dimension = sum(c * irrep_dimension(nu) for nu, c in row.items())
+    assert dimension == comb(a + b, a) * irrep_dimension(lam) * irrep_dimension(mu), (lam, mu)
+    assert {transpose(nu): c for nu, c in row.items()} == oracle._lr_row(transpose(lam), transpose(mu)), (lam, mu)
+
+
+def test_lr_rows_satisfy_dimension_and_transpose_identities_past_the_sweep():
+    # Every (lam, mu) with |lam| + |mu| <= 11, past the sweep's bound of 8.
+    # About 0.3 s on a 2-vCPU host under Python 3.11.
+    for lam, mu in lr_pairs(range(12)):
+        _check_lr_identities(lam, mu)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(12, 14).flatmap(
+        lambda n: st.integers(0, n).flatmap(
+            lambda a: st.tuples(st.sampled_from(all_diagrams(a)), st.sampled_from(all_diagrams(n - a)))
+        )
+    )
+)
+def test_lr_rows_satisfy_dimension_and_transpose_identities_to_14(pair):
+    _check_lr_identities(*pair)
